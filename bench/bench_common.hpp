@@ -28,6 +28,8 @@
 //       -DLFST_TRACE=ON builds; an OFF build writes an empty trace.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,10 +49,22 @@
 
 namespace lfst::bench {
 
+/// A non-negative decimal from the environment, or `fallback` when unset.
+/// Anything else (garbage, a sign, trailing text, overflow) is fatal rather
+/// than silently read as 0.
 inline std::size_t env_size(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      errno != 0) {
+    std::fprintf(stderr, "%s=\"%s\": expected a non-negative integer\n",
+                 name, v);
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(n);
 }
 
 inline std::vector<int> env_threads(const char* name,

@@ -8,12 +8,15 @@
 //
 // recover() walks backwards through the checkpoints until one passes its
 // CRC (serialize::load_keys validates the whole image), loads its key set,
-// then replays every WAL record with lsn > cp_lsn in segment order,
-// applying add/remove/put onto a std::map keyed by Compare (last write in
-// LSN order wins -- the WAL linearization).  Replay stops cleanly at the
-// first torn record (short read, CRC mismatch, LSN gap, oversize length);
-// since the WAL writes records in contiguous LSN order and acks only after
-// fsync, everything acknowledged durable is before that stop point.
+// then replays every WAL record with lsn > cp_lsn in segment order: the
+// scan collects {key, present} records, a stable sort under Compare groups
+// equivalent keys in LSN order, the last of each group wins (last write in
+// LSN order -- the WAL linearization -- key representation included), and
+// one forward merge with the sorted image yields the result: O(C + R log R)
+// for C image keys and R tail records.  Replay stops cleanly at the first
+// torn record (short read, CRC mismatch, LSN gap, oversize length); since
+// the WAL writes records in contiguous LSN order and acks only after fsync,
+// everything acknowledged durable is before that stop point.
 //
 // With repair=true (the default for real opens; the crash harness's
 // read-only validation pass uses false) recovery also makes the directory
@@ -32,11 +35,12 @@
 // the result so callers can alert.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -107,27 +111,16 @@ recovery_result<T> recover(const std::string& dir, bool repair = true) {
   out.us_checkpoint_load = phase_us(t_start, t_loaded);
 
   // --- replay the WAL tail ------------------------------------------------
-  // std::map under Compare: replay must merge equivalent keys exactly the
-  // way the tree's comparator does, and keep the last-logged value.
-  std::map<T, bool, Compare> state;  // true = present
-  auto apply = [&](lsn_t, wal_op op, const void* payload, std::size_t len) {
-    if (len != sizeof(T)) return;  // CRC passed but shape is wrong: skip
-    T key;
-    std::memcpy(&key, payload, sizeof(T));
-    // erase-then-insert, NOT insert_or_assign: the map key itself carries
-    // the logged representation (for struct keys compared by one field,
-    // the other fields are the value), and insert_or_assign would keep the
-    // FIRST equivalent key forever instead of the last-logged one.
-    state.erase(key);
-    switch (op) {
-      case wal_op::add:
-      case wal_op::put:
-        state.emplace(std::move(key), true);
-        break;
-      case wal_op::remove:
-        state.emplace(std::move(key), false);
-        break;
-    }
+  struct logged {
+    T key;         // the logged representation
+    bool present;  // add/put = true, remove = false
+  };
+  std::vector<logged> tail;  // LSN order
+  auto apply = [&](wal_op op, const void* payload, std::size_t len) {
+    // CRC passed but shape is wrong: skip
+    if (len != sizeof(T) || op < wal_op::add || op > wal_op::put) return;
+    tail.push_back({{}, op != wal_op::remove});
+    std::memcpy(&tail.back().key, payload, sizeof(T));
   };
 
   auto segs = detail::list_segments(dir);
@@ -146,7 +139,7 @@ recovery_result<T> recover(const std::string& dir, bool repair = true) {
     const segment_scan scan = scan_segment(
         path.string(), out.cp_lsn,
         [&](lsn_t lsn, wal_op op, const void* p, std::size_t n) {
-          apply(lsn, op, p, n);
+          apply(op, p, n);
           out.last_lsn = lsn;
           ++out.replayed;
           LFST_M_COUNT(::lfst::metrics::cid::storage_replay_records);
@@ -170,24 +163,26 @@ recovery_result<T> recover(const std::string& dir, bool repair = true) {
     }
   }
 
-  for (const auto& [key, present] : state) {
-    if (present) {
-      auto it = std::lower_bound(base.keys.begin(), base.keys.end(), key,
-                                 Compare{});
-      if (it == base.keys.end() || Compare{}(key, *it)) {
-        base.keys.insert(it, key);
-      } else {
-        *it = key;  // equivalent key: last-logged representation wins
-      }
-    } else {
-      auto it = std::lower_bound(base.keys.begin(), base.keys.end(), key,
-                                 Compare{});
-      if (it != base.keys.end() && !Compare{}(key, *it)) {
-        base.keys.erase(it);
-      }
-    }
+  const Compare less{};
+  std::stable_sort(tail.begin(), tail.end(),
+                   [&](const logged& a, const logged& b) {
+                     return less(a.key, b.key);
+                   });
+  std::vector<T> keys;
+  keys.reserve(base.keys.size() + tail.size());
+  auto b = base.keys.cbegin();
+  for (auto r = tail.cbegin(); r != tail.cend();) {
+    auto last = r;
+    while (++r != tail.cend() && !less(last->key, r->key)) last = r;
+    const auto stop = std::lower_bound(b, base.keys.cend(), last->key, less);
+    keys.insert(keys.end(), b, stop);
+    b = stop;
+    // An equivalent image key is replaced or removed; absent is a no-op.
+    if (b != base.keys.cend() && !less(last->key, *b)) ++b;
+    if (last->present) keys.push_back(last->key);
   }
-  out.keys = std::move(base.keys);
+  keys.insert(keys.end(), b, base.keys.cend());
+  out.keys = std::move(keys);
   out.empty_dir = out.cp_lsn == 0 && out.replayed == 0 && segs.empty();
   const auto t_replayed = clock::now();
   out.us_replay = phase_us(t_loaded, t_replayed);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -213,14 +214,20 @@ TEST(SkipTreeConcurrent, HighContentionOnTinyKeyRange) {
 
 TEST(SkipTreeConcurrent, ConcurrentAddsOfSameTallElement) {
   // Raising the same key from many threads exercises split/insert races at
-  // routing levels.
+  // routing levels.  Exactly one first add wins only if every first add
+  // precedes every remove: without the latch a thread can add and remove
+  // before another thread's add starts, a legal history with two winners.
   for (int round = 0; round < 20; ++round) {
     tree_t t;
     std::atomic<int> winners{0};
+    std::latch start(kThreads);
+    std::latch added(kThreads);
     std::vector<std::thread> threads;
     for (int tid = 0; tid < kThreads; ++tid) {
       threads.emplace_back([&] {
+        start.arrive_and_wait();
         if (t.add(12345)) winners.fetch_add(1);
+        added.arrive_and_wait();
         t.remove(12345);
         t.add(12345);
       });

@@ -4,13 +4,18 @@
 // shorter durable prefix, never an exception, never a wrong key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "scratch_dir.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/recovery.hpp"
 #include "storage/wal.hpp"
@@ -23,14 +28,10 @@ namespace fs = std::filesystem;
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "recovery_test_scratch/" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
-    fs::remove_all(dir_);
+    dir_ = test::fresh_scratch_dir("recovery_test_scratch");
     fs::create_directories(dir_);
   }
-  void TearDown() override { fs::remove_all("recovery_test_scratch"); }
+  void TearDown() override { fs::remove_all(dir_); }
 
   /// Append adds for 1..n (value = i) and close cleanly.
   void write_simple_log(std::uint64_t n) {
@@ -118,8 +119,9 @@ TEST_F(RecoveryTest, PutUpsertsLastWriteWins) {
 }
 
 /// Minimal for_each-able container for write_checkpoint.
+template <typename T = std::uint64_t>
 struct key_list {
-  std::vector<std::uint64_t> keys;
+  std::vector<T> keys;
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& k : keys) fn(k);
@@ -456,6 +458,120 @@ TEST_F(RecoveryTest, MidChainTearDropsLaterSegments) {
   EXPECT_EQ(rec.last_lsn, 29u);
   EXPECT_TRUE(rec.torn_tail);
   EXPECT_FALSE(fs::exists(fs::path(dir_) / segment_filename(31)));
+}
+
+// --- differential replay ----------------------------------------------------
+
+// Reference replay, the oracle: fold the tail into a std::map under Compare
+// (erase-then-emplace, so the last logged representation wins), then patch
+// the sorted image key by key.  O(C·R), but each step is plainly right.
+template <typename T, typename Compare>
+std::vector<T> reference_replay(std::vector<T> keys,
+                                const std::vector<std::pair<wal_op, T>>& tail) {
+  std::map<T, bool, Compare> state;  // true = present
+  for (const auto& [op, key] : tail) {
+    state.erase(key);
+    state.emplace(key, op != wal_op::remove);
+  }
+  for (const auto& [key, present] : state) {
+    auto it = std::lower_bound(keys.begin(), keys.end(), key, Compare{});
+    const bool found = it != keys.end() && !Compare{}(key, *it);
+    if (present && found) {
+      *it = key;
+    } else if (present) {
+      keys.insert(it, key);
+    } else if (found) {
+      keys.erase(it);
+    }
+  }
+  return keys;
+}
+
+struct u64_keys {
+  using key = std::uint64_t;
+  using less = std::less<key>;
+  static key make(std::uint64_t k, std::uint64_t) { return k; }
+  static std::pair<std::uint64_t, std::uint64_t> view(key x) { return {x, 0}; }
+};
+struct kv64_keys {
+  using key = kv64;
+  using less = kv_less;
+  static key make(std::uint64_t k, std::uint64_t v) { return {k, v}; }
+  static std::pair<std::uint64_t, std::uint64_t> view(key x) {
+    return {x.k, x.v};
+  }
+};
+
+/// One random case: a checkpoint image over [4, U), records the image
+/// covers, then a tail of add/remove/put over [0, U + 8) -- keys inside and
+/// outside the image, below its first and above its last key, each visited
+/// many times with a fresh payload -- optionally ending in a torn record.
+/// recover() must agree with reference_replay on the intact tail.
+template <typename K>
+void check_replay_against_reference(const std::string& dir,
+                                    std::uint64_t seed) {
+  using T = typename K::key;
+  using L = typename K::less;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  xoshiro256ss rng(seed);
+  const std::uint64_t universe = std::uint64_t{4} << rng.below(7);
+  const std::uint64_t fill = rng.below(101);  // image density, percent
+
+  key_list<T> image;
+  for (std::uint64_t k = 4; k < universe; ++k) {
+    if (rng.below(100) < fill) image.keys.push_back(K::make(k, rng.below(1000)));
+  }
+  const wal_op ops[] = {wal_op::add, wal_op::remove, wal_op::put};
+  const auto draw = [&] {
+    return std::pair<wal_op, T>{
+        ops[rng.below(3)], K::make(rng.below(universe + 8), rng.below(1000))};
+  };
+  wal_options opts;
+  opts.sync = fsync_policy::none;
+  wal log(dir, 1, opts);
+  const std::uint64_t covered = 1 + rng.below(20);
+  for (std::uint64_t i = 0; i < covered; ++i) {
+    const auto [op, key] = draw();
+    log.append(op, &key, sizeof(key));
+  }
+  const lsn_t cp_lsn = write_checkpoint<T>(image, 4, log).cp_lsn;
+  ASSERT_EQ(cp_lsn, covered);
+  std::vector<std::pair<wal_op, T>> tail(rng.below(300));
+  for (auto& rec : tail) {
+    rec = draw();
+    log.append(rec.first, &rec.second, sizeof(rec.second));
+  }
+  log.close();
+  if (!tail.empty() && rng.below(3) == 0) {
+    const fs::path seg = fs::path(dir) / segment_filename(cp_lsn + 1);
+    const std::size_t rec_bytes = kRecordHeaderBytes + sizeof(T);
+    fs::resize_file(seg, fs::file_size(seg) - 1 - rng.below(rec_bytes - 1));
+    tail.pop_back();
+  }
+
+  const auto rec = recover<T, L>(dir);
+  const std::vector<T> expected = reference_replay<T, L>(image.keys, tail);
+  EXPECT_EQ(rec.cp_lsn, cp_lsn);
+  EXPECT_EQ(rec.replayed, tail.size());
+  EXPECT_EQ(rec.last_lsn, cp_lsn + tail.size());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> got, want;
+  for (const T& k : rec.keys) got.push_back(K::view(k));
+  for (const T& k : expected) want.push_back(K::view(k));
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(RecoveryTest, SortMergeReplayMatchesReferenceU64Keys) {
+  for (std::uint64_t seed = 1; seed <= 150 && !HasFailure(); ++seed) {
+    check_replay_against_reference<u64_keys>(dir_ + "/case", seed);
+  }
+}
+
+TEST_F(RecoveryTest, SortMergeReplayMatchesReferenceStructKeys) {
+  for (std::uint64_t seed = 1; seed <= 150 && !HasFailure(); ++seed) {
+    check_replay_against_reference<kv64_keys>(dir_ + "/case", seed);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "scratch_dir.hpp"
 #include "skiptree/validate.hpp"
 #include "storage/durable_tree.hpp"
 
@@ -21,13 +22,9 @@ namespace fs = std::filesystem;
 class DurableTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "durable_test_scratch/" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
-    fs::remove_all(dir_);
+    dir_ = test::fresh_scratch_dir("durable_test_scratch");
   }
-  void TearDown() override { fs::remove_all("durable_test_scratch"); }
+  void TearDown() override { fs::remove_all(dir_); }
   std::string dir_;
 };
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "scratch_dir.hpp"
 #include "storage/wal.hpp"
 
 namespace lfst::storage {
@@ -19,14 +20,10 @@ namespace {
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "wal_test_scratch/" +
-           std::string(::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
-    std::filesystem::remove_all(dir_);
+    dir_ = test::fresh_scratch_dir("wal_test_scratch");
     std::filesystem::create_directories(dir_);
   }
-  void TearDown() override { std::filesystem::remove_all("wal_test_scratch"); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string dir_;
 };
 
