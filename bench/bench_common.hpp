@@ -43,7 +43,6 @@
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
 #include "common/trace_export.hpp"
-#include "skiptree/detail/kernel.hpp"
 #include "workload/table.hpp"
 #include "workload/workload.hpp"
 
@@ -109,9 +108,9 @@ inline std::string range_name(std::uint64_t range) {
 
 inline void print_header(const char* what, const bench_config& c) {
   std::printf("== %s ==\n", what);
-  std::printf("ops/trial=%zu trials=%d kernel=%s (override with "
+  std::printf("ops/trial=%zu trials=%d (override with "
               "LFST_BENCH_OPS / LFST_BENCH_TRIALS / LFST_BENCH_THREADS)\n\n",
-              c.ops, c.trials, skiptree::selected_kernel_name());
+              c.ops, c.trials);
 }
 
 /// Scope object every bench main constructs first: consumes the
@@ -148,15 +147,6 @@ class metrics_reporter {
     if (path_.empty()) return;
     const auto& reg = metrics::registry::instance();
     if (metrics::write_json_file(path_, reg.aggregate(), reg.drain_trace())) {
-      // Append the run's search-kernel selection as a meta record: the gate
-      // only consumes counter/histogram/gauge lines, but humans diffing
-      // sidecars need to know which kernel produced the numbers.
-      if (std::FILE* f = std::fopen(path_.c_str(), "a"); f != nullptr) {
-        std::fprintf(f, "{\"type\":\"meta\",\"name\":\"kernel\",\"value\":"
-                        "\"%s\"}\n",
-                     skiptree::selected_kernel_name());
-        std::fclose(f);
-      }
       std::fprintf(stderr, "metrics sidecar written to %s\n", path_.c_str());
     } else {
       std::fprintf(stderr, "metrics sidecar: cannot write %s\n",
@@ -226,13 +216,8 @@ class bench_json_reporter {
       std::fprintf(stderr, "bench json: cannot write %s\n", path_.c_str());
       return;
     }
-    // The kernel stamp pairs candidate runs with like baselines: bench_gate
-    // refuses to diff two documents whose kernels differ (a scalar run
-    // "regressing" against an avx2 baseline is a configuration error, not a
-    // performance signal).
-    std::fprintf(f, "{\"bench\":\"%s\",\"kernel\":\"%s\",\"entries\":[",
-                 metrics::json_escape(bench_).c_str(),
-                 skiptree::selected_kernel_name());
+    std::fprintf(f, "{\"bench\":\"%s\",\"entries\":[",
+                 metrics::json_escape(bench_).c_str());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const entry& e = entries_[i];
       const summary& s = e.stats;
@@ -343,10 +328,6 @@ class telemetry_reporter {
           for (const std::string& n : notes_) {
             std::fprintf(f, "%s\n", n.c_str());
           }
-          std::fprintf(f,
-                       "{\"type\":\"meta\",\"name\":\"kernel\",\"value\":"
-                       "\"%s\"}\n",
-                       skiptree::selected_kernel_name());
           std::fclose(f);
         }
         std::fprintf(stderr, "telemetry sidecar written to %s\n",

@@ -22,17 +22,6 @@ namespace {
 
 using key = long;
 
-/// The default tree under the forced-scalar kernel: subtracting its
-/// BM_Contains panel from the default tree's isolates what the SIMD kernel
-/// buys end-to-end.  Only meaningful (and only a distinct type) when
-/// LFST_SIMD is ON; in an OFF build the default tree IS the scalar tree.
-#if defined(LFST_SIMD)
-using scalar_kernel_tree =
-    lfst::skiptree::skip_tree<key, std::less<key>, lfst::reclaim::ebr_policy,
-                              lfst::alloc::pool_policy,
-                              lfst::skiptree::scalar_search_kernel>;
-#endif
-
 template <typename Set>
 std::unique_ptr<Set> make_set() {
   return std::make_unique<Set>();
@@ -44,15 +33,6 @@ std::unique_ptr<lfst::skiptree::skip_tree<key>> make_set() {
   o.q_log2 = 5;
   return std::make_unique<lfst::skiptree::skip_tree<key>>(o);
 }
-
-#if defined(LFST_SIMD)
-template <>
-std::unique_ptr<scalar_kernel_tree> make_set() {
-  lfst::skiptree::skip_tree_options o;
-  o.q_log2 = 5;
-  return std::make_unique<scalar_kernel_tree>(o);
-}
-#endif
 
 template <>
 std::unique_ptr<lfst::blinktree::blink_tree<key>> make_set() {
@@ -131,19 +111,12 @@ constexpr std::int64_t kLarge = 1 << 20;
 LFST_BENCH_SET(BM_Contains, 300000)
 LFST_BENCH_SET(BM_AddRemoveCycle, 100000)
 
-// Contains-heavy A/B of the kernel layer on the full tree: same structure,
-// same descent, only the in-node kernel differs.
-#if defined(LFST_SIMD)
-BENCHMARK_TEMPLATE(BM_Contains, scalar_kernel_tree)
-    ->Arg(kSmall)->Arg(kMedium)->Arg(kLarge)->Iterations(300000);
-#endif
-
-// The in-node search kernels in isolation: random probes into a pool of
+// The in-node search kernel in isolation: random probes into a pool of
 // node-like sorted key runs, one search per iteration.  The pool is large
 // enough that the probed run usually misses L1, matching how a descent
 // encounters a node; `width` sweeps the node sizes the trees actually build
 // (expected skip-tree width 1/q = 32; b-link nodes up to 2M = 256).
-template <typename Kernel>
+template <typename Search>
 void BM_KernelSearch(benchmark::State& state) {
   const std::uint32_t width = static_cast<std::uint32_t>(state.range(0));
   constexpr std::size_t kNodes = 4096;
@@ -159,19 +132,13 @@ void BM_KernelSearch(benchmark::State& state) {
     const std::size_t n = rng.below(kNodes);
     const key v = static_cast<key>(rng.below(1u << 30));
     benchmark::DoNotOptimize(
-        Kernel::search(pool.data() + n * width, width, v, cmp));
+        Search::search(pool.data() + n * width, width, v, cmp));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-#define LFST_BENCH_KERNEL(kernel)                                        \
-  BENCHMARK_TEMPLATE(BM_KernelSearch, kernel)                            \
-      ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)                    \
-      ->Iterations(2000000);
-
-LFST_BENCH_KERNEL(lfst::skiptree::scalar_search_kernel)
-LFST_BENCH_KERNEL(lfst::skiptree::branchfree_search_kernel)
-LFST_BENCH_KERNEL(lfst::skiptree::simd_search_kernel)
+BENCHMARK_TEMPLATE(BM_KernelSearch, lfst::skiptree::branchfree_search_kernel)
+    ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Iterations(2000000);
 
 // Iteration also includes the snap-tree (the Figure 10 participant).
 BENCHMARK_TEMPLATE(BM_Iterate, lfst::skiptree::skip_tree<key>)

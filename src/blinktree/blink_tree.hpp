@@ -48,13 +48,11 @@ struct blink_tree_options {
 };
 
 template <typename T, typename Compare = std::less<T>,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = skiptree::default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class blink_tree {
  public:
   using key_type = T;
   using alloc_t = Alloc;
-  using kernel_t = Kernel;
 
   blink_tree() : blink_tree(blink_tree_options{}) {}
 
@@ -276,13 +274,13 @@ class blink_tree {
     node(bool is_leaf, int lvl) : leaf(is_leaf), level(lvl) {}
   };
 
-  /// Encoded in-node search over a node's key vector via the pluggable
+  /// Encoded in-node search over a node's key vector with the skip-tree's
   /// kernel (skiptree/detail/kernel.hpp): >= 0 found, < 0 encodes
-  /// -(insertion point) - 1.  The same seam the skip-tree uses, so kernel
-  /// A/B comparisons hold both structures to the same node-local cost.
+  /// -(insertion point) - 1.  Sharing the kernel holds both structures to
+  /// the same node-local cost in the figure 9/10 comparisons.
   int search_keys(const std::vector<T>& keys, const T& v) const {
-    return Kernel::search(keys.data(),
-                          static_cast<std::uint32_t>(keys.size()), v, cmp_);
+    return skiptree::branchfree_search_kernel::search(
+        keys.data(), static_cast<std::uint32_t>(keys.size()), v, cmp_);
   }
 
   static std::size_t insertion_point(int i) noexcept {

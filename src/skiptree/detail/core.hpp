@@ -40,7 +40,6 @@
 #include "common/failpoint.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
 #include "skiptree/contents.hpp"
@@ -93,16 +92,18 @@ struct skip_tree_options {
   bool compaction = true;   ///< enable online node compaction (ablation hook)
 };
 
+/// Supported range of `skip_tree_options::q_log2` (node width 2..65536).
+inline constexpr int kMinQLog2 = 1;
+inline constexpr int kMaxQLog2 = 16;
+
 namespace detail {
 
-template <typename T, typename Compare, typename Reclaim, typename Alloc,
-          typename Kernel = default_search_kernel>
+template <typename T, typename Compare, typename Reclaim, typename Alloc>
 struct tree_core {
   using key_type = T;
   using compare_t = Compare;
   using reclaim_t = Reclaim;
   using alloc_t = Alloc;
-  using kernel_t = Kernel;
   using contents_t = contents<T>;
   using node_t = tree_node<T>;
   using head_t = head_node<T>;
@@ -165,7 +166,7 @@ struct tree_core {
 
   tree_core(skip_tree_options o, domain_t& d, Compare c)
       : opts(o), domain(d), cmp(c) {
-    assert(opts.q_log2 >= 1 && opts.q_log2 <= 16);
+    assert(opts.q_log2 >= kMinQLog2 && opts.q_log2 <= kMaxQLog2);
     assert(opts.max_height >= 1 && opts.max_height <= kMaxHeightLimit);
     node_t* leaf = alloc_node(contents_t::template make_initial_leaf<Alloc>());
     root.store(new head_t{leaf, 0}, std::memory_order_release);
@@ -231,14 +232,14 @@ struct tree_core {
     contents_t::template destroy<Alloc>(c);
   }
 
-  /// In-node key search via the pluggable kernel (detail/kernel.hpp);
-  /// lower-bound semantics so that with duplicate routing elements the
-  /// descent uses the leftmost match (going too far right at a routing
-  /// level could skip the target, while landing left recovers over links).
-  /// This is the only call site of the kernel inside the skip-tree: every
-  /// operation module searches nodes through here.
+  /// In-node key search (detail/kernel.hpp); lower-bound semantics so that
+  /// with duplicate routing elements the descent uses the leftmost match
+  /// (going too far right at a routing level could skip the target, while
+  /// landing left recovers over links).  This is the only call site of the
+  /// kernel inside the skip-tree: every operation module searches nodes
+  /// through here.
   int search_keys(const contents_t& c, const T& v) const {
-    return Kernel::search(c.keys(), c.nkeys, v, cmp);
+    return branchfree_search_kernel::search(c.keys(), c.nkeys, v, cmp);
   }
 
   /// Warm the lines the upcoming `search_keys` will touch: a payload is one
@@ -247,9 +248,13 @@ struct tree_core {
   /// descent loops immediately after loading a child payload, overlapping
   /// the key-block miss with the header reads.
   static void prefetch_payload(const contents_t* c) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
     const char* p = reinterpret_cast<const char*>(c);
-    lfst::simd::prefetch_ro(p + 64);
-    lfst::simd::prefetch_ro(p + 128);
+    __builtin_prefetch(p + 64, 0, 3);
+    __builtin_prefetch(p + 128, 0, 3);
+#else
+    (void)c;
+#endif
   }
 
   /// The paper's `-i - 1 == cts.items.length` condition: the probe key is

@@ -1,79 +1,27 @@
-// Pluggable in-node search kernels.
+// The in-node search kernel.
 //
 // Every node of the skip-tree (and of the b-link-tree baseline) is searched
-// through one seam: a `search_kernel` policy whose static `search` returns
-// the Java-style encoded index the paper's pseudo-code is written against:
+// by one binary search over its sorted key array (the paper's Figs. 4-6),
+// returning the Java-style encoded index the paper's pseudo-code is written
+// against:
 //
 //     >= 0  -> v found at that index (leftmost match under duplicates)
 //      < 0  -> -(insertion point) - 1, the lower_bound position encoded
 //
 // The encoding is total: callers recover the descent slot with
 // `descend_index` and detect the follow-the-link case with `is_past_end`
-// (detail/core.hpp).  All kernels MUST produce bit-identical results for
-// identical inputs -- tests/skiptree/test_kernel.cpp fuzzes every compiled
-// kernel against std::lower_bound to keep them honest.
-//
-// Three implementations:
-//
-//   scalar_search_kernel      the classic branchy binary search.  Works for
-//                             any T/Compare; the LFST_SIMD=OFF default.
-//   branchfree_search_kernel  Khuong/Morin-style halving whose update is a
-//                             conditional move, so the only unpredictable
-//                             branch is the loop trip count.  Any T/Compare.
-//   simd_search_kernel        branch-free halving down to a <= kWindowBytes
-//                             window, then a compare-and-movemask linear
-//                             count over the window (common/simd.hpp) with
-//                             the ISA picked at runtime (avx2 -> sse2 ->
-//                             scalar).  Only engages for integral keys of
-//                             width 4 or 8 under the natural order
-//                             (std::less); anything else falls back to the
-//                             branch-free kernel, so heterogeneous
-//                             instantiations (the map layer's entry_compare,
-//                             string keys, custom orders) keep working
-//                             untouched.
-//
-// `default_search_kernel` is what `skip_tree` instantiates when no kernel is
-// named: the SIMD kernel when the LFST_SIMD CMake option is ON, the scalar
-// kernel otherwise -- so an OFF build contains no vector code at all, not
-// even dead.
+// (detail/core.hpp).  tests/skiptree/test_kernel.cpp fuzzes the kernel
+// against std::lower_bound.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <functional>
-#include <type_traits>
-
-#include "common/simd.hpp"
 
 namespace lfst::skiptree {
 
-/// Branchy binary search -- the tree's original kernel, kept as the portable
-/// reference implementation and the LFST_SIMD=OFF default.
-struct scalar_search_kernel {
-  static constexpr const char* name() noexcept { return "scalar"; }
-
-  template <typename T, typename Compare>
-  static int search(const T* keys, std::uint32_t nkeys, const T& v,
-                    const Compare& cmp) {
-    std::uint32_t lo = 0;
-    std::uint32_t hi = nkeys;
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (cmp(keys[mid], v)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < nkeys && !cmp(v, keys[lo])) return static_cast<int>(lo);
-    return -static_cast<int>(lo) - 1;
-  }
-};
-
-/// Branch-free halving: the range update compiles to a conditional move, so
-/// the data-dependent branch of the scalar kernel disappears and the loop
-/// runs a fixed ceil(log2(n)) iterations.  Invariant: the lower_bound
-/// position stays within [base, base + len].
+/// Branch-free halving (Khuong/Morin): the range update compiles to a
+/// conditional move, so the only unpredictable branch is the loop trip
+/// count, a fixed ceil(log2(n)).  Works for any T/Compare.  Invariant: the
+/// lower_bound position stays within [base, base + len].
 struct branchfree_search_kernel {
   static constexpr const char* name() noexcept { return "branchfree"; }
 
@@ -94,93 +42,9 @@ struct branchfree_search_kernel {
   }
 };
 
-/// True iff the SIMD kernel can vectorize this instantiation: an integral
-/// key of vector-lane width, ordered by the type's natural less-than.  Any
-/// other Compare could disagree with an integer compare, so it must not be
-/// bypassed.
-template <typename T, typename Compare>
-inline constexpr bool simd_kernel_compatible =
-    std::is_integral_v<T> && !std::is_same_v<T, bool> &&
-    (sizeof(T) == 4 || sizeof(T) == 8) &&
-    (std::is_same_v<Compare, std::less<T>> ||
-     std::is_same_v<Compare, std::less<>>);
-
-/// Hybrid kernel: branch-free halving narrows to a window small enough that
-/// a linear compare-and-movemask count beats further halving (the narrowing
-/// loop is skipped entirely at the paper's default node width 1/q = 32),
-/// then common/simd.hpp counts keys < v in the window at the best runtime
-/// ISA.  Falls back to branchfree_search_kernel for incompatible T/Compare.
-struct simd_search_kernel {
-  /// Largest run (in bytes) handed to the linear SIMD count: 8 AVX2
-  /// vectors' worth of lanes whatever the key width, i.e. 64 x 4-byte or
-  /// 32 x 8-byte keys.  The count scans its whole window with no early
-  /// exit (common/simd.hpp), so the window is sized where ~8 independent
-  /// always-predicted vector iterations undercut the equivalent dependent
-  /// halving steps they replace.
-  static constexpr std::uint32_t kWindowBytes = 256;
-
-  /// Runtime name of what this kernel actually executes for vector-width
-  /// integral keys; "branchfree" when no vector ISA is active.
-  static const char* name() noexcept {
-    switch (simd::active()) {
-      case simd::isa::avx2: return "avx2";
-      case simd::isa::sse2: return "sse2";
-      default: return branchfree_search_kernel::name();
-    }
-  }
-
-  template <typename T, typename Compare>
-  static int search(const T* keys, std::uint32_t nkeys, const T& v,
-                    const Compare& cmp) {
-    if constexpr (!simd_kernel_compatible<T, Compare>) {
-      return branchfree_search_kernel::search(keys, nkeys, v, cmp);
-    } else {
-      constexpr std::uint32_t kWindow = kWindowBytes / sizeof(T);
-      std::uint32_t base = 0;
-      std::uint32_t len = nkeys;
-      while (len > kWindow) {
-        const std::uint32_t half = len / 2;
-        base = cmp(keys[base + half - 1], v) ? base + half : base;
-        len -= half;
-      }
-      // Keys in [base, base + len) bracket the lower_bound position; count
-      // those < v in the unsigned-after-bias order (bias maps signed keys
-      // onto unsigned order; see common/simd.hpp).
-      std::uint32_t pos;
-      if constexpr (sizeof(T) == 4) {
-        using U = std::uint32_t;
-        const U bias = std::is_signed_v<T> ? U{0x80000000u} : U{0};
-        pos = base + simd::count_less_32(keys + base, len,
-                                         std::bit_cast<U>(v), bias);
-      } else {
-        using U = std::uint64_t;
-        const U bias =
-            std::is_signed_v<T> ? U{0x8000000000000000ull} : U{0};
-        pos = base + simd::count_less_64(keys + base, len,
-                                         std::bit_cast<U>(v), bias);
-      }
-      if (pos < nkeys && !cmp(v, keys[pos])) return static_cast<int>(pos);
-      return -static_cast<int>(pos) - 1;
-    }
-  }
-};
-
-#if defined(LFST_SIMD)
-using default_search_kernel = simd_search_kernel;
-#else
-using default_search_kernel = scalar_search_kernel;
-#endif
-
-/// What the default kernel executes on this build + machine for integral
-/// keys -- "scalar" (LFST_SIMD=OFF), or "avx2" / "sse2" / "branchfree" by
-/// runtime dispatch.  Benches stamp this into their JSON so the regression
-/// gate never compares apples to oranges (tools/bench_gate.py).
+/// Name of the in-node search kernel, stamped into benchmark results.
 inline const char* selected_kernel_name() noexcept {
-#if defined(LFST_SIMD)
-  return simd_search_kernel::name();
-#else
-  return scalar_search_kernel::name();
-#endif
+  return branchfree_search_kernel::name();
 }
 
 }  // namespace lfst::skiptree

@@ -92,11 +92,10 @@ struct health_sample {
 /// including a dedicated background thread (see health_ticker below).
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class skip_tree_health {
  public:
-  using tree_t = skip_tree<T, Compare, Reclaim, Alloc, Kernel>;
+  using tree_t = skip_tree<T, Compare, Reclaim, Alloc>;
   using contents_t = typename tree_t::contents_t;
   using node_t = typename tree_t::node_t;
   using guard_t = typename tree_t::guard_t;
@@ -203,11 +202,10 @@ class skip_tree_health {
 /// one bounded walk.
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class health_ticker {
  public:
-  using sampler_t = skip_tree_health<T, Compare, Reclaim, Alloc, Kernel>;
+  using sampler_t = skip_tree_health<T, Compare, Reclaim, Alloc>;
   using tree_t = typename sampler_t::tree_t;
 
   health_ticker(const tree_t& tree, std::chrono::microseconds interval,

@@ -173,9 +173,11 @@ class key_stream_writer {
 
 /// Parse a stream written by save_keys (v2) or the legacy v1 writer.
 /// Throws with a field-precise message on truncation, on checksum mismatch,
-/// and on an unsorted key stream.  The key payload is read in bounded
-/// chunks so a bit-flipped count cannot provoke a huge up-front allocation:
-/// the vector grows only as far as bytes actually arrive.
+/// and on a q_log2 outside [kMinQLog2, kMaxQLog2] (v1 images carry no
+/// checksum, and the tree's own range check is a debug-only assert).  The
+/// key payload is read in bounded chunks so a bit-flipped count cannot
+/// provoke a huge up-front allocation: the vector grows only as far as
+/// bytes actually arrive.
 template <typename T>
 loaded_keys<T> load_keys(std::istream& in) {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -225,14 +227,16 @@ loaded_keys<T> load_keys(std::istream& in) {
           "skiptree::load: checksum mismatch (corrupt file)");
     }
   }
+  if (out.q_log2 < kMinQLog2 || out.q_log2 > kMaxQLog2) {
+    throw std::runtime_error("skiptree::load: q_log2 out of range");
+  }
   return out;
 }
 
 /// Write the tree's keys (ascending) to `out`.  Quiescent callers get an
 /// exact image; concurrent callers get a weakly-consistent one.
-template <typename T, typename Compare, typename Reclaim, typename Alloc,
-          typename Kernel>
-void save(const skip_tree<T, Compare, Reclaim, Alloc, Kernel>& tree,
+template <typename T, typename Compare, typename Reclaim, typename Alloc>
+void save(const skip_tree<T, Compare, Reclaim, Alloc>& tree,
           std::ostream& out) {
   std::vector<T> keys;
   keys.reserve(tree.size());
@@ -244,9 +248,8 @@ void save(const skip_tree<T, Compare, Reclaim, Alloc, Kernel>& tree,
 /// `opts_override` is provided.  The result is bulk-built optimal.
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
-skip_tree<T, Compare, Reclaim, Alloc, Kernel> load(
+          typename Alloc = lfst::alloc::pool_policy>
+skip_tree<T, Compare, Reclaim, Alloc> load(
     std::istream& in, const skip_tree_options* opts_override = nullptr,
     typename Reclaim::domain_type& domain = Reclaim::default_domain()) {
   loaded_keys<T> lk = load_keys<T>(in);
@@ -265,7 +268,7 @@ skip_tree<T, Compare, Reclaim, Alloc, Kernel> load(
   } else {
     opts.q_log2 = lk.q_log2;
   }
-  return skip_tree<T, Compare, Reclaim, Alloc, Kernel>::from_sorted(
+  return skip_tree<T, Compare, Reclaim, Alloc>::from_sorted(
       std::span<const T>(lk.keys), opts, domain);
 }
 

@@ -22,12 +22,11 @@ namespace lfst::skiptree {
 
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class skip_tree_pqueue {
  public:
   using value_type = T;
-  using tree_t = skip_tree<T, Compare, Reclaim, Alloc, Kernel>;
+  using tree_t = skip_tree<T, Compare, Reclaim, Alloc>;
   using domain_t = typename Reclaim::domain_type;
 
   skip_tree_pqueue() : skip_tree_pqueue(skip_tree_options{}) {}

@@ -74,11 +74,10 @@ struct validation_report {
 /// White-box access to a quiescent skip_tree for validation and tests.
 template <typename T, typename Compare = std::less<T>,
           typename Reclaim = reclaim::ebr_policy,
-          typename Alloc = lfst::alloc::pool_policy,
-          typename Kernel = default_search_kernel>
+          typename Alloc = lfst::alloc::pool_policy>
 class skip_tree_inspector {
  public:
-  using tree_t = skip_tree<T, Compare, Reclaim, Alloc, Kernel>;
+  using tree_t = skip_tree<T, Compare, Reclaim, Alloc>;
   using contents_t = typename tree_t::contents_t;
   using node_t = typename tree_t::node_t;
 

@@ -145,26 +145,55 @@ TEST(SerializeV2, RejectsUnsortedStreamThroughLoad) {
   EXPECT_THROW(load<long>(is), std::runtime_error);
 }
 
-TEST(SerializeV2, LegacyV1StillLoads) {
-  // Hand-build a v1 image: same header with version 1, no trailing CRC.
-  std::vector<long> keys = {1, 2, 3, 4};
+/// Hand-build a v1 image: same header with version 1, no trailing CRC.
+std::string legacy_v1_image(std::uint32_t q, const std::vector<long>& keys) {
   std::string img;
   auto put = [&](const void* p, std::size_t n) {
     img.append(static_cast<const char*>(p), n);
   };
   const std::uint64_t magic = kSerializeMagic;
   const std::uint32_t version = kSerializeVersionLegacy;
-  const std::uint32_t q = 5;
   const std::uint64_t count = keys.size();
   put(&magic, 8);
   put(&version, 4);
   put(&q, 4);
   put(&count, 8);
   put(keys.data(), keys.size() * sizeof(long));
-  std::istringstream is(img, std::ios::binary);
+  return img;
+}
+
+TEST(SerializeV2, LegacyV1StillLoads) {
+  std::vector<long> keys = {1, 2, 3, 4};
+  std::istringstream is(legacy_v1_image(5, keys), std::ios::binary);
   const loaded_keys<long> lk = load_keys<long>(is);
   EXPECT_EQ(lk.q_log2, 5);
   EXPECT_EQ(lk.keys, keys);
+}
+
+// q_log2 is untrusted input: a v1 image has no checksum to catch a bad one,
+// and load() hands it to the bulk loader, where 1 << q_log2 is undefined
+// past 63.  Both ends of the supported range load; anything outside is
+// rejected before a tree is built.
+TEST(SerializeV2, LegacyV1RejectsOutOfRangeQLog2) {
+  const std::vector<long> keys = {1, 2, 3, 4};
+  for (const std::uint32_t q : {0u, 64u}) {
+    std::istringstream is(legacy_v1_image(q, keys), std::ios::binary);
+    EXPECT_THROW(load_keys<long>(is), std::runtime_error) << "q_log2=" << q;
+  }
+  for (const std::uint32_t q : {1u, 16u}) {
+    std::istringstream is(legacy_v1_image(q, keys), std::ios::binary);
+    EXPECT_EQ(load_keys<long>(is).q_log2, static_cast<int>(q));
+  }
+}
+
+// A checksum only proves the writer's bytes arrived intact, not that the
+// writer's q_log2 was valid.
+TEST(SerializeV2, RejectsOutOfRangeQLog2UnderValidChecksum) {
+  const std::vector<long> keys = {1, 2, 3, 4};
+  std::ostringstream os(std::ios::binary);
+  save_keys(std::span<const long>(keys), /*q_log2=*/40, os);
+  std::istringstream is(os.str(), std::ios::binary);
+  EXPECT_THROW(load_keys<long>(is), std::runtime_error);
 }
 
 TEST(SerializeV2, TreeRoundTripThroughStreams) {

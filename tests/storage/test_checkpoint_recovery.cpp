@@ -399,6 +399,36 @@ TEST_F(RecoveryTest, CorruptNewestCheckpointFallsBack) {
   }
 }
 
+// A CRC-valid checkpoint whose q_log2 is out of range is as unusable as a
+// corrupt one: recovery must skip it and fall back, never hand the value
+// on to the tree it builds.
+TEST_F(RecoveryTest, OutOfRangeQLog2CheckpointFallsBack) {
+  wal log(dir_, 1);
+  key_list live;
+  for (std::uint64_t i = 1; i <= 80; ++i) {
+    log.append(wal_op::add, &i, sizeof(i));
+    live.keys.push_back(i);
+  }
+  const lsn_t cp1 = write_checkpoint<std::uint64_t>(live, 4, log).cp_lsn;
+  for (std::uint64_t i = 81; i <= 160; ++i) {
+    log.append(wal_op::add, &i, sizeof(i));
+    live.keys.push_back(i);
+  }
+  const lsn_t cp2 = write_checkpoint<std::uint64_t>(live, 40, log).cp_lsn;
+  log.close();
+  ASSERT_LT(cp1, cp2);
+
+  const auto rec = recover<std::uint64_t>(dir_, /*repair=*/false);
+  EXPECT_EQ(rec.cp_lsn, cp1);
+  EXPECT_EQ(rec.checkpoints_skipped, 1u);
+  EXPECT_EQ(rec.q_log2, 4);
+  EXPECT_EQ(rec.last_lsn, 160u);
+  ASSERT_EQ(rec.keys.size(), 160u);
+  for (std::size_t k = 0; k < rec.keys.size(); ++k) {
+    EXPECT_EQ(rec.keys[k], k + 1);
+  }
+}
+
 TEST_F(RecoveryTest, RepairTruncatesTornTailAndReopens) {
   write_simple_log(50);
   const fs::path seg = fs::path(dir_) / segment_filename(1);

@@ -9,7 +9,6 @@ JSON records distinguished by their "type" field:
   telemetry_sample   one aggregator snapshot: seq, t_ms, {series: value}
   sketch             latency-sketch summary: count, p50/p90/p99/p999/max/mean
   heatmap            CAS-contention heatmap: total, per-level bucket rows
-  meta               free-form key/value (e.g. the selected search kernel)
 
 The report has three parts:
 
@@ -58,7 +57,6 @@ class Sidecar:
         self.samples: List[Dict] = []
         self.sketches: List[Dict] = []
         self.heatmaps: List[Dict] = []
-        self.meta: List[Dict] = []
         self.skipped_lines = 0
 
 
@@ -82,8 +80,6 @@ def parse_sidecar(lines: Sequence[str]) -> Sidecar:
             out.sketches.append(rec)
         elif kind == "heatmap":
             out.heatmaps.append(rec)
-        elif kind == "meta":
-            out.meta.append(rec)
         else:
             out.skipped_lines += 1
     out.samples.sort(key=lambda s: s.get("seq", 0))
@@ -254,10 +250,6 @@ def report_series(samples: Sequence[Dict], wanted: Sequence[str]) -> str:
 def report(sidecar: Sidecar, series: Sequence[str]) -> Tuple[str, bool]:
     parts = []
     ok = True
-    if sidecar.meta:
-        tags = ", ".join(f"{m.get('name')}={m.get('value')}"
-                         for m in sidecar.meta)
-        parts.append(f"run meta: {tags}\n")
     if sidecar.schema:
         parts.append(
             f"schema: {len(sidecar.schema.get('series', []))} series, "
@@ -305,7 +297,6 @@ def self_test() -> int:
                                 "buckets": [5, 2] + [0] * 62},
                                {"level": 2, "total": 3,
                                 "buckets": [0, 0, 3] + [0] * 61}]}),
-        json.dumps({"type": "meta", "name": "kernel", "value": "simd"}),
         "this line is not json {{{",
     ]
 
@@ -325,7 +316,6 @@ def self_test() -> int:
     assert "skiptree.cas" in text
     assert "L0" in text and "L2" in text
     assert "70.0%" in text          # level 0 share of 10 failures
-    assert "kernel=simd" in text
     assert "reclaim.limbo_bytes" in text
 
     # Mismatched counter must flip the exit status.
