@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <new>
+#include <stdexcept>
 
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
@@ -95,6 +96,21 @@ struct skip_tree_options {
 /// Supported range of `skip_tree_options::q_log2` (node width 2..65536).
 inline constexpr int kMinQLog2 = 1;
 inline constexpr int kMaxQLog2 = 16;
+/// Upper bound of `skip_tree_options::max_height`.
+inline constexpr int kMaxHeightLimit = 32;
+
+/// Throws std::invalid_argument unless `q_log2` is in [kMinQLog2,
+/// kMaxQLog2] and `max_height` in [1, kMaxHeightLimit].  Every tree
+/// constructor runs it; durable_tree also runs it before recovery touches
+/// the directory.
+inline void validate_options(const skip_tree_options& o) {
+  if (o.q_log2 < kMinQLog2 || o.q_log2 > kMaxQLog2) {
+    throw std::invalid_argument("skip_tree_options: q_log2 out of range");
+  }
+  if (o.max_height < 1 || o.max_height > kMaxHeightLimit) {
+    throw std::invalid_argument("skip_tree_options: max_height out of range");
+  }
+}
 
 namespace detail {
 
@@ -108,8 +124,6 @@ struct tree_core {
   using node_t = tree_node<T>;
   using head_t = head_node<T>;
   using domain_t = typename Reclaim::domain_type;
-
-  static constexpr int kMaxHeightLimit = 32;
 
   /// Paper Fig. 3 `Search`: a node, a payload snapshot, and the Java-style
   /// encoded index of the probe key (>= 0 found; < 0 encodes -(insertion
@@ -166,8 +180,7 @@ struct tree_core {
 
   tree_core(skip_tree_options o, domain_t& d, Compare c)
       : opts(o), domain(d), cmp(c) {
-    assert(opts.q_log2 >= kMinQLog2 && opts.q_log2 <= kMaxQLog2);
-    assert(opts.max_height >= 1 && opts.max_height <= kMaxHeightLimit);
+    validate_options(opts);
     node_t* leaf = alloc_node(contents_t::template make_initial_leaf<Alloc>());
     root.store(new head_t{leaf, 0}, std::memory_order_release);
   }

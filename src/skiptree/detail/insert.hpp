@@ -43,7 +43,7 @@ struct insert_ops {
   /// height, which relaxed optimality (D5) tolerates.
   static bool add(Core& core, const T& v, int height) {
     assert(height >= 0 && height <= core.opts.max_height);
-    std::array<search, Core::kMaxHeightLimit + 1> srchs;
+    std::array<search, kMaxHeightLimit + 1> srchs;
     height = traverse_and_track(core, v, height, srchs.data());
     try {
       if (!insert_list(core, v, srchs.data(), nullptr, 0)) return false;

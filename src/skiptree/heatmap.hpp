@@ -38,7 +38,7 @@ namespace lfst::skiptree {
 
 /// Plain-value copy of the heatmap, queryable and serializable.
 struct heatmap_snapshot {
-  static constexpr int kLevels = 33;   // tree_core::kMaxHeightLimit + 1
+  static constexpr int kLevels = 33;   // kMaxHeightLimit + 1 (detail/core.hpp)
   static constexpr int kBuckets = 64;
 
   std::array<std::array<std::uint64_t, kBuckets>, kLevels> cells{};

@@ -174,7 +174,8 @@ class key_stream_writer {
 /// Parse a stream written by save_keys (v2) or the legacy v1 writer.
 /// Throws with a field-precise message on truncation, on checksum mismatch,
 /// and on a q_log2 outside [kMinQLog2, kMaxQLog2] (v1 images carry no
-/// checksum, and the tree's own range check is a debug-only assert).  The
+/// checksum; rejecting here reports a corrupt image rather than the bad
+/// option the tree constructor would throw on).  The
 /// key payload is read in bounded chunks so a bit-flipped count cannot
 /// provoke a huge up-front allocation: the vector grows only as far as
 /// bytes actually arrive.

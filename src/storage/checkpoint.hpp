@@ -5,7 +5,8 @@
 // WAL tail past its stamp.  The protocol here is the classic fuzzy
 // checkpoint, adapted to the tree's weakly-consistent iteration:
 //
-//   1. rotate() the WAL.  This seals the active segment after some LSN L
+//   1. rotate() the WAL.  This drains once to the last LSN assigned at
+//      the call, seals the active segment at the written prefix L
 //      (everything <= L is in closed segments, everything > L in the new
 //      one) and fsyncs it.  L is the checkpoint stamp.
 //   2. iterate the tree (weakly consistent -- concurrent mutators keep
@@ -16,13 +17,18 @@
 //      WAL segment whose records are all <= the OLDEST retained stamp.
 //
 // Why stamping with L is safe given a fuzzy snapshot: the durable facade
-// applies to the tree FIRST and appends to the WAL second.  An operation
-// the iteration missed must have applied after the scan passed its key,
-// hence appended after the rotate, hence has LSN > L -- replay supplies
-// it.  An operation the iteration caught but whose LSN is also > L gets
-// re-applied by replay; add/remove/put are idempotent set updates, so
-// re-application converges to the same state.  (Per key, replay in LSN
-// order makes the last logged write win, matching the WAL linearization.)
+// applies to the tree FIRST and appends to the WAL second.  Any LSN <= L
+// was assigned, and so its operation applied to the tree, before rotate()
+// returned, which is before the scan starts: the image holds it or a later
+// state of its key.  An operation the iteration missed must have applied
+// after the scan passed its key, hence after rotate() returned; its LSN
+// was assigned later still, so it is > L -- replay supplies it.  (rotate()
+// does not wait for appenders to pause, so LSNs just above L may belong
+// to operations the scan also caught.)  An operation the iteration caught
+// but whose LSN is also > L gets re-applied by replay; add/remove/put are
+// idempotent set updates, so re-application converges to the same state.
+// (Per key, replay in LSN order makes the last logged write win, matching
+// the WAL linearization.)
 //
 // Why prune keeps >= 2 checkpoints: recovery falls back to the previous
 // checkpoint when the newest is torn or bit-flipped (the crash window is

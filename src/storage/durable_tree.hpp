@@ -67,6 +67,8 @@ class durable_tree {
   explicit durable_tree(std::string dir,
                         durable_options opts = durable_options{})
       : opts_(opts) {
+    // Reject bad tree options before recovery repairs the directory.
+    skiptree::validate_options(opts_.tree);
     recovery_result<T> rec = recover<T, Compare>(dir, /*repair=*/true);
     recovered_ = rec_stats{rec.cp_lsn,          rec.last_lsn,
                            rec.replayed,        rec.checkpoints_skipped,

@@ -227,7 +227,12 @@ class wal {
     pending_record rec(static_cast<std::uint32_t>(len));
     {
       std::lock_guard<std::mutex> lk(s.mu);
-      s.recs.reserve(s.recs.size() + 1);
+      // Grow geometrically, so a backlog the flusher has not drained yet
+      // costs amortized O(1) per append; reserving one more element at a
+      // time would copy the whole backlog on every append.
+      if (s.recs.size() == s.recs.capacity()) {
+        s.recs.reserve(std::max<std::size_t>(16, 2 * s.recs.capacity()));
+      }
       const lsn_t lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
       rec.encode(lsn, op, payload);
       s.recs.push_back(std::move(rec));  // noexcept: reserved + move
@@ -237,8 +242,13 @@ class wal {
       LFST_M_COUNT(::lfst::metrics::cid::storage_wal_appends);
       LFST_M_ADD(::lfst::metrics::cid::storage_wal_bytes,
                  kRecordHeaderBytes + len);
-      work_pending_.store(true, std::memory_order_release);
-      wake_flusher();
+      // Wake the flusher only on the idle -> pending edge.  An appender
+      // that finds the flag already set leaves its record to the drain
+      // that will clear it (see flusher_main), so the hot path skips the
+      // flusher's mutex and notify.
+      if (!work_pending_.exchange(true, std::memory_order_acq_rel)) {
+        wake_flusher();
+      }
       return lsn;
     }
   }
@@ -265,21 +275,17 @@ class wal {
     sync_locked();
   }
 
-  /// Complete the active segment (drain + fsync everything assigned so
-  /// far), close it, and open wal-<L+1>.log.  Returns L, the last LSN of
-  /// the closed segment: every record <= L lives in closed segments, every
-  /// record > L in the new one.  This is the checkpoint boundary.
+  /// Complete the active segment (drain + fsync everything assigned when
+  /// the call began), close it, and open wal-<L+1>.log.  Returns L, the
+  /// last LSN of the closed segment: every record <= L lives in closed
+  /// segments, every record > L in the new one.  This is the checkpoint
+  /// boundary.  L is the written prefix after one drain to the LSNs
+  /// assigned at entry, so a sustained append stream cannot hold rotate()
+  /// up; records above L that are already drained stay in pending_ and go
+  /// to the new segment.
   lsn_t rotate() {
     std::lock_guard<std::mutex> g(io_mu_);
-    // Run the drain until a moment where every assigned LSN is written;
-    // concurrent appends move the goal, but each pass catches up to a
-    // snapshot, so this settles as soon as the appenders pause for a beat.
-    for (;;) {
-      const lsn_t target = last_assigned();
-      drain_until_locked(target);
-      if (written_lsn_ >= target && last_assigned() == target) break;
-      std::this_thread::yield();
-    }
+    drain_until_locked(last_assigned());
     sync_locked();
     LFST_FP_POINT("storage.wal.rotate");
     const lsn_t sealed = written_lsn_;
@@ -425,7 +431,12 @@ class wal {
         });
       }
       if (closing_.load(std::memory_order_acquire)) return;  // close() drains
-      work_pending_.store(false, std::memory_order_release);
+      // Clear the flag BEFORE draining.  An append whose exchange saw
+      // `true` is ordered before this clear (acq_rel), and its record was
+      // published under its slot mutex, which the drain below takes: this
+      // drain collects it.  An append after the clear sees `false` and
+      // wakes us again.  flusher_poll is only a backstop.
+      work_pending_.exchange(false, std::memory_order_acq_rel);
       LFST_T_SPAN(::lfst::trace::sid::wal_flush);
       std::lock_guard<std::mutex> g(io_mu_);
       const std::size_t wrote = drain_once_locked();

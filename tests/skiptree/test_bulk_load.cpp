@@ -3,6 +3,8 @@
 
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -143,6 +145,42 @@ TEST(SkipTreeBulkLoad, TreeIsFullyMutableAfterLoad) {
   for (long k = 0; k < 2000; k += 400) EXPECT_TRUE(t.remove(k));
   auto rep = skip_tree_inspector<long>(t).validate();
   EXPECT_TRUE(rep.ok) << rep.to_string();
+}
+
+// Out-of-range options are rejected at construction in every build type,
+// through the constructor and through from_sorted.
+TEST(SkipTreeOptions, RejectsOutOfRangeOptions) {
+  const std::vector<long> keys = iota_keys(100);
+  const std::span<const long> span(keys);
+  for (const int q : {kMinQLog2 - 1, kMaxQLog2 + 1}) {
+    skip_tree_options o;
+    o.q_log2 = q;
+    EXPECT_THROW(skip_tree<long>{o}, std::invalid_argument) << "q_log2 " << q;
+    EXPECT_THROW(skip_tree<long>::from_sorted(span, o), std::invalid_argument)
+        << "q_log2 " << q;
+  }
+  for (const int h : {0, kMaxHeightLimit + 1}) {
+    skip_tree_options o;
+    o.max_height = h;
+    EXPECT_THROW(skip_tree<long>{o}, std::invalid_argument)
+        << "max_height " << h;
+    EXPECT_THROW(skip_tree<long>::from_sorted(span, o), std::invalid_argument)
+        << "max_height " << h;
+  }
+}
+
+TEST(SkipTreeOptions, AcceptsRangeEndpoints) {
+  const std::vector<long> keys = iota_keys(100);
+  for (const auto& [q, h] : {std::pair{kMinQLog2, 1},
+                             std::pair{kMaxQLog2, kMaxHeightLimit}}) {
+    skip_tree_options o;
+    o.q_log2 = q;
+    o.max_height = h;
+    auto t = skip_tree<long>::from_sorted(std::span<const long>(keys), o);
+    EXPECT_EQ(t.size(), keys.size());
+    EXPECT_TRUE(t.add(1000));
+    EXPECT_TRUE(skip_tree_inspector<long>(t).validate().ok);
+  }
 }
 
 TEST(SkipTreeSerialize, RoundTripPreservesKeys) {

@@ -4,7 +4,10 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,6 +194,48 @@ TEST_F(DurableTreeTest, ReopenPreservesQLog2FromCheckpoint) {
   }
   durable_tree<long> t(dir_, fast_opts());  // default opts: q comes from disk
   EXPECT_EQ(t.options().tree.q_log2, 3);
+}
+
+// Bad tree options are rejected before recovery runs: an absent directory
+// is not created, and a crashed one is not repaired.
+TEST_F(DurableTreeTest, RejectsOutOfRangeTreeOptionsBeforeRecovery) {
+  std::vector<skiptree::skip_tree_options> bad(4);
+  bad[0].q_log2 = skiptree::kMinQLog2 - 1;
+  bad[1].q_log2 = skiptree::kMaxQLog2 + 1;
+  bad[2].max_height = 0;
+  bad[3].max_height = skiptree::kMaxHeightLimit + 1;
+
+  durable_options o = fast_opts();
+  for (const auto& tree_opts : bad) {
+    o.tree = tree_opts;
+    EXPECT_THROW((void)durable_tree<long>(dir_, o), std::invalid_argument);
+    EXPECT_FALSE(fs::exists(dir_));
+  }
+
+  {
+    durable_tree<long> t(dir_, fast_opts());
+    for (long i = 0; i < 50; ++i) t.add(i);
+    t.close();
+  }
+  // A torn tail that recovery would truncate.
+  const fs::path seg = fs::path(dir_) / segment_filename(1);
+  { std::ofstream(seg, std::ios::binary | std::ios::app) << "torn"; }
+  auto listing = [&] {
+    std::map<std::string, std::uintmax_t> m;
+    for (const auto& e : fs::directory_iterator(dir_)) {
+      m[e.path().filename().string()] = fs::file_size(e.path());
+    }
+    return m;
+  };
+  const auto before = listing();
+  for (const auto& tree_opts : bad) {
+    o.tree = tree_opts;
+    EXPECT_THROW((void)durable_tree<long>(dir_, o), std::invalid_argument);
+    EXPECT_EQ(listing(), before);
+  }
+  durable_tree<long> t(dir_, fast_opts());
+  EXPECT_TRUE(t.recovery_stats().torn_tail);
+  EXPECT_EQ(t.size(), 50u);
 }
 
 }  // namespace
