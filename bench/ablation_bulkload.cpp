@@ -39,8 +39,7 @@ double read_throughput(lfst::skiptree::skip_tree<key>& set,
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   const bench_config cfg = bench_config::from_env();
   lfst::bench::print_header(
       "Ablation C: bulk-loaded (optimal) vs grown vs degraded", cfg);

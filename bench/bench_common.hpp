@@ -11,38 +11,29 @@
 // The defaults are sized for a small CI-class machine; raising OPS/TRIALS
 // toward the paper's 5M x 64 sharpens the statistics without changing the
 // harness.
-// A metrics sidecar can ride along with any bench: pass --metrics-json
-// (or --metrics-json=PATH, or set LFST_METRICS_JSON=PATH) and the process
-// writes a JSON-lines dump of the metrics registry on exit.  The counters
-// are only populated in -DLFST_METRICS=ON builds; an OFF build writes an
-// all-zero dump, making the flag safe to leave in scripts.
 //
-// Two more sidecars complete the observability pipeline:
+// Two sidecar families ride along with any bench:
 //
 //   --bench-json[=PATH]  (env LFST_BENCH_JSON)   machine-readable summary of
 //       every measured configuration -- the file tools/bench_gate.py diffs
 //       against the checked-in BENCH_*.json baselines;
-//   --trace-json[=PATH] / --trace-bin[=PATH] (env LFST_TRACE_JSON /
-//       LFST_TRACE_BIN)  span-trace dumps, Chrome/Perfetto JSON or the
-//       compact binary that tools/trace2perfetto.py converts.  Meaningful in
-//       -DLFST_TRACE=ON builds; an OFF build writes an empty trace.
+//   --telemetry-json / --telemetry-prom / --trace-json  the telemetry
+//       registry's one snapshot as JSON-lines, Prometheus text and
+//       Perfetto JSON (see telemetry_reporter below).
 #pragma once
 
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
-#include "common/metrics_export.hpp"
 #include "common/stats.hpp"
-#include "common/telemetry.hpp"
-#include "common/trace.hpp"
-#include "common/trace_export.hpp"
+#include "common/telemetry_export.hpp"
 #include "workload/table.hpp"
 #include "workload/workload.hpp"
 
@@ -113,53 +104,6 @@ inline void print_header(const char* what, const bench_config& c) {
               c.ops, c.trials);
 }
 
-/// Scope object every bench main constructs first: consumes the
-/// `--metrics-json[=PATH]` argument (removing it from argv so downstream
-/// parsers -- google-benchmark in particular -- never see it) and, if the
-/// flag or the LFST_METRICS_JSON environment variable asked for a sidecar,
-/// writes the aggregated registry as JSON lines on destruction.
-class metrics_reporter {
- public:
-  metrics_reporter(int& argc, char** argv) {
-    if (const char* env = std::getenv("LFST_METRICS_JSON");
-        env != nullptr && *env != '\0') {
-      path_ = env;
-    }
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--metrics-json") == 0) {
-        if (path_.empty()) path_ = "metrics.jsonl";
-        continue;
-      }
-      if (std::strncmp(argv[r], "--metrics-json=", 15) == 0) {
-        path_ = argv[r] + 15;
-        continue;
-      }
-      argv[w++] = argv[r];
-    }
-    argc = w;
-  }
-
-  metrics_reporter(const metrics_reporter&) = delete;
-  metrics_reporter& operator=(const metrics_reporter&) = delete;
-
-  ~metrics_reporter() {
-    if (path_.empty()) return;
-    const auto& reg = metrics::registry::instance();
-    if (metrics::write_json_file(path_, reg.aggregate(), reg.drain_trace())) {
-      std::fprintf(stderr, "metrics sidecar written to %s\n", path_.c_str());
-    } else {
-      std::fprintf(stderr, "metrics sidecar: cannot write %s\n",
-                   path_.c_str());
-    }
-  }
-
-  bool enabled() const noexcept { return !path_.empty(); }
-
- private:
-  std::string path_;
-};
-
 /// Consume `--flag` / `--flag=PATH` from argv, falling back to `env`.
 /// Returns the chosen path ("" when the sidecar was not requested;
 /// `fallback` when the flag was given valueless).
@@ -217,7 +161,7 @@ class bench_json_reporter {
       return;
     }
     std::fprintf(f, "{\"bench\":\"%s\",\"entries\":[",
-                 metrics::json_escape(bench_).c_str());
+                 telemetry::json_escape(bench_).c_str());
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const entry& e = entries_[i];
       const summary& s = e.stats;
@@ -227,40 +171,20 @@ class bench_json_reporter {
           "\"ops_per_ms\":{\"mean\":%.6g,\"stddev\":%.6g,\"min\":%.6g,"
           "\"max\":%.6g,\"p50\":%.6g,\"p90\":%.6g,\"p95\":%.6g,"
           "\"p99\":%.6g}",
-          i == 0 ? "" : ",", metrics::json_escape(e.name).c_str(), e.threads,
+          i == 0 ? "" : ",", telemetry::json_escape(e.name).c_str(), e.threads,
           s.count, s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p95, s.p99);
       if (!e.extra.empty()) {
         std::fprintf(f, ",\"extra\":{");
         for (std::size_t j = 0; j < e.extra.size(); ++j) {
           std::fprintf(f, "%s\"%s\":%.6g", j == 0 ? "" : ",",
-                       metrics::json_escape(e.extra[j].first).c_str(),
+                       telemetry::json_escape(e.extra[j].first).c_str(),
                        e.extra[j].second);
         }
         std::fprintf(f, "}");
       }
       std::fprintf(f, "}");
     }
-    std::fprintf(f, "\n],\"retry_hists\":{");
-    // Retry-shape context rides along so a regression diff can distinguish
-    // "slower because contending more" from "slower, same contention".
-    // Nonzero log2 buckets only; all-zero in metrics-OFF builds.
-    const auto snap = metrics::registry::instance().aggregate();
-    bool first_h = true;
-    for (const auto& h : snap.histograms) {
-      if (h.name.find("retries") == std::string_view::npos) continue;
-      std::fprintf(f, "%s\"%s\":[", first_h ? "" : ",",
-                   metrics::json_escape(h.name).c_str());
-      first_h = false;
-      bool first_b = true;
-      for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-        if (h.buckets[b] == 0) continue;
-        std::fprintf(f, "%s[%zu,%llu]", first_b ? "" : ",", b,
-                     static_cast<unsigned long long>(h.buckets[b]));
-        first_b = false;
-      }
-      std::fprintf(f, "]");
-    }
-    std::fprintf(f, "}}\n");
+    std::fprintf(f, "\n]}\n");
     std::fclose(f);
     std::fprintf(stderr, "bench json written to %s\n", path_.c_str());
   }
@@ -278,16 +202,23 @@ class bench_json_reporter {
   std::vector<entry> entries_;
 };
 
-/// Telemetry sidecar: --telemetry-json[=PATH] (env LFST_TELEMETRY_JSON)
-/// starts the plane's background aggregator (interval from
-/// LFST_TELEMETRY_INTERVAL_MS, default 50) for the life of the bench and
-/// writes the JSON-lines export -- schema, ring samples, sketch summaries
-/// -- on destruction.  --telemetry-prom[=PATH] (env LFST_TELEMETRY_PROM)
-/// additionally writes the Prometheus text exposition of the final state.
-/// Benches can note() extra pre-serialized JSON-lines records (the
-/// contention heatmap) to append to the JSON sidecar.  Hot-path hooks only
-/// populate the sketches in -DLFST_TELEMETRY=ON builds (the default);
-/// compiled-out builds still write a valid, mostly-empty file.
+/// The telemetry sidecars.  Every bench main constructs one first; it
+/// consumes its flags from argv (so downstream parsers -- google-benchmark
+/// in particular -- never see them) and, on destruction, writes one
+/// registry snapshot in each requested format:
+///
+///   --telemetry-json[=PATH] (env LFST_TELEMETRY_JSON)  JSON-lines: schema,
+///       time-series samples, one line per event, plus any note()d records
+///       (the contention heatmap);
+///   --telemetry-prom[=PATH] (env LFST_TELEMETRY_PROM)  Prometheus text;
+///   --trace-json[=PATH] (env LFST_TRACE_JSON)  Perfetto JSON of the rings.
+///
+/// The JSON and Prometheus sidecars also run the background sampler for
+/// the life of the bench (interval LFST_TELEMETRY_INTERVAL_MS, default 50).
+/// What the snapshot holds depends on the build: the sampled skip-tree
+/// spans and storage timings by default, every event with -DLFST_METRICS,
+/// nothing with -DLFST_TELEMETRY=OFF -- the files stay valid either way,
+/// so the flags are safe to leave in scripts.
 class telemetry_reporter {
  public:
   telemetry_reporter(int& argc, char** argv)
@@ -296,110 +227,52 @@ class telemetry_reporter {
                                      "telemetry.jsonl")),
         prom_path_(consume_path_flag(argc, argv, "--telemetry-prom",
                                      "LFST_TELEMETRY_PROM",
-                                     "telemetry.prom")) {
-    if (!enabled()) return;
+                                     "telemetry.prom")),
+        trace_path_(consume_path_flag(argc, argv, "--trace-json",
+                                      "LFST_TRACE_JSON", "trace.json")) {
+    if (json_path_.empty() && prom_path_.empty()) return;
     const std::size_t ms = env_size("LFST_TELEMETRY_INTERVAL_MS", 50);
-    telemetry::plane::instance().start(
+    telemetry::registry::instance().start(
         std::chrono::milliseconds(ms == 0 ? 50 : ms));
   }
 
   telemetry_reporter(const telemetry_reporter&) = delete;
   telemetry_reporter& operator=(const telemetry_reporter&) = delete;
 
-  bool enabled() const noexcept {
-    return !json_path_.empty() || !prom_path_.empty();
-  }
-
-  /// Append one pre-serialized JSON object (no trailing newline needed) to
-  /// the JSON-lines sidecar, e.g. a heatmap_snapshot::to_json() record.
-  void note(std::string json_line) {
-    notes_.push_back(std::move(json_line));
-  }
+  /// Append one pre-serialized JSON object to the JSON-lines sidecar, e.g.
+  /// a heatmap_snapshot::to_json() record.
+  void note(std::string json_line) { notes_.push_back(std::move(json_line)); }
 
   ~telemetry_reporter() {
-    if (!enabled()) return;
-    auto& p = telemetry::plane::instance();
-    p.stop();
-    p.snapshot_now();  // final sample so short runs export at least one
-    if (!json_path_.empty()) {
-      if (p.write_json_file(json_path_)) {
-        if (std::FILE* f = std::fopen(json_path_.c_str(), "a");
-            f != nullptr) {
-          for (const std::string& n : notes_) {
-            std::fprintf(f, "%s\n", n.c_str());
-          }
-          std::fclose(f);
-        }
-        std::fprintf(stderr, "telemetry sidecar written to %s\n",
-                     json_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry sidecar: cannot write %s\n",
-                     json_path_.c_str());
-      }
+    if (json_path_.empty() && prom_path_.empty() && trace_path_.empty()) {
+      return;
     }
-    if (!prom_path_.empty()) {
-      if (std::FILE* f = std::fopen(prom_path_.c_str(), "w"); f != nullptr) {
-        const std::string text = p.to_prometheus();
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "telemetry exposition written to %s\n",
-                     prom_path_.c_str());
-      } else {
-        std::fprintf(stderr, "telemetry exposition: cannot write %s\n",
-                     prom_path_.c_str());
-      }
-    }
+    auto& reg = telemetry::registry::instance();
+    reg.stop();
+    reg.sample_now();  // a final sample, so short runs export at least one
+    const telemetry::snapshot snap = reg.capture();
+    std::string json = telemetry::to_json_lines(snap);
+    for (const std::string& n : notes_) json += n + "\n";
+    write("telemetry json", json_path_, json);
+    write("telemetry prometheus", prom_path_, telemetry::to_prometheus(snap));
+    write("trace json", trace_path_, telemetry::to_perfetto(snap));
   }
 
  private:
+  static void write(const char* what, const std::string& path,
+                    const std::string& body) {
+    if (path.empty()) return;
+    if (telemetry::write_file(path, body)) {
+      std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
+    } else {
+      std::fprintf(stderr, "%s: cannot write %s\n", what, path.c_str());
+    }
+  }
+
   std::string json_path_;
   std::string prom_path_;
+  std::string trace_path_;
   std::vector<std::string> notes_;
-};
-
-/// Span-trace sidecar: on destruction, drains the trace registry and writes
-/// the Chrome/Perfetto JSON (--trace-json) and/or the compact binary
-/// (--trace-bin).  Rings fill only in -DLFST_TRACE=ON builds; elsewhere the
-/// files are valid but empty, so the flags are safe to leave in scripts.
-class trace_reporter {
- public:
-  trace_reporter(int& argc, char** argv)
-      : json_path_(consume_path_flag(argc, argv, "--trace-json",
-                                     "LFST_TRACE_JSON", "trace.json")),
-        bin_path_(consume_path_flag(argc, argv, "--trace-bin",
-                                    "LFST_TRACE_BIN", "trace.bin")) {}
-
-  trace_reporter(const trace_reporter&) = delete;
-  trace_reporter& operator=(const trace_reporter&) = delete;
-
-  ~trace_reporter() {
-    if (json_path_.empty() && bin_path_.empty()) return;
-    const auto& reg = trace::trace_registry::instance();
-    const auto spans = reg.drain();
-    const double tpu = reg.ticks_per_us();
-    if (!json_path_.empty()) {
-      if (trace::write_chrome_json_file(json_path_, spans, tpu)) {
-        std::fprintf(stderr, "trace json (%zu spans) written to %s\n",
-                     spans.size(), json_path_.c_str());
-      } else {
-        std::fprintf(stderr, "trace json: cannot write %s\n",
-                     json_path_.c_str());
-      }
-    }
-    if (!bin_path_.empty()) {
-      if (trace::write_binary_file(bin_path_, spans, tpu)) {
-        std::fprintf(stderr, "trace bin (%zu spans) written to %s\n",
-                     spans.size(), bin_path_.c_str());
-      } else {
-        std::fprintf(stderr, "trace bin: cannot write %s\n",
-                     bin_path_.c_str());
-      }
-    }
-  }
-
- private:
-  std::string json_path_;
-  std::string bin_path_;
 };
 
 }  // namespace lfst::bench

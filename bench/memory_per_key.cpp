@@ -19,8 +19,7 @@
 #include "skiptree/validate.hpp"
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   const auto cfg = lfst::bench::bench_config::from_env();
   lfst::bench::print_header("Structural census: memory per key", cfg);
 

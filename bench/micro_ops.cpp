@@ -202,9 +202,8 @@ class json_capture_reporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   lfst::bench::bench_json_reporter bench_json("micro", argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   json_capture_reporter reporter(bench_json);

@@ -9,9 +9,8 @@
 #include "blinktree/blink_tree.hpp"
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
+  lfst::bench::telemetry_reporter telemetry(argc, argv);
   lfst::bench::bench_json_reporter bench_json("param_m", argc, argv);
-  lfst::bench::trace_reporter traces(argc, argv);
   using lfst::bench::bench_config;
   using lfst::workload::scenario;
   const bench_config cfg = bench_config::from_env();

@@ -7,10 +7,10 @@
 // buffer + flusher writes), `interval` adds the background fsync cadence,
 // and `every_commit` shows the group-commit floor (latency-bound by the
 // device sync; throughput recovers with thread count as more acks share
-// one fsync).  Storage counters (appends, fsyncs, commit batch histogram)
-// are exported through the --metrics-json sidecar, which CI gates on:
-// a run whose storage.wal.appends is zero means the facade silently
-// stopped logging.
+// one fsync).  The storage events (commit and fsync spans, the batch-size
+// value, and under -DLFST_METRICS the append sizes) are exported through
+// the --telemetry-json sidecar, which CI gates on: a run with no commit or
+// fsync samples means the facade silently stopped logging or syncing.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -100,7 +100,6 @@ struct durable_ctx {
 }  // namespace
 
 int main(int argc, char** argv) {
-  lfst::bench::metrics_reporter metrics(argc, argv);
   lfst::bench::bench_json_reporter json("wal_overhead", argc, argv);
   lfst::bench::telemetry_reporter telemetry(argc, argv);
   const bench_config cfg = bench_config::from_env();

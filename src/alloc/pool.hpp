@@ -60,8 +60,7 @@
 
 #include "common/align.hpp"
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/telemetry.hpp"
 
 namespace lfst::alloc {
 
@@ -124,7 +123,7 @@ class pool {
     const std::size_t block = block_size(bytes, align);
     if (block == 0) {  // oversized or overaligned: global heap
       if (tc != nullptr) ++tc->c.fallbacks;
-      LFST_M_COUNT(::lfst::metrics::cid::pool_fallbacks);
+      LFST_COUNT(pool_fallbacks);
       return ::operator new(bytes, std::align_val_t{align});
     }
     const int ci = class_index(block);
@@ -133,7 +132,7 @@ class pool {
       void* p = c->free_lists[ci].back();
       c->free_lists[ci].pop_back();
       ++tc->c.pool_hits;
-      LFST_M_COUNT(::lfst::metrics::cid::pool_hits);
+      LFST_COUNT(pool_hits);
       return p;
     }
     return refill_and_pop(ci, block, c, tc);
@@ -156,7 +155,7 @@ class pool {
     if (c == nullptr) {
       // Thread-local cache already retired (static-destruction-time
       // reclamation); hand the block straight to the shared list.
-      LFST_M_COUNT(::lfst::metrics::cid::pool_foreign_frees);
+      LFST_COUNT(pool_foreign_frees);
       size_class& sc = global().classes[ci];
       lock(sc);
       try {
@@ -334,7 +333,7 @@ class pool {
 
   /// Return the entire thread cache to the shared lists (pressure trim).
   static void trim_all(tls_cache& c) noexcept {
-    LFST_M_COUNT(::lfst::metrics::cid::pool_pressure_trims);
+    LFST_COUNT(pool_pressure_trims);
     for (int ci = 0; ci < kClasses; ++ci) {
       std::vector<void*>& list = c.free_lists[ci];
       if (list.empty()) continue;
@@ -354,7 +353,7 @@ class pool {
   /// Slow path: the thread cache overflowed; move a batch of blocks back to
   /// the shared list so other threads (and other size users) can have them.
   static void spill(tls_cache& c, int ci) noexcept {
-    LFST_M_COUNT(::lfst::metrics::cid::pool_spills);
+    LFST_COUNT(pool_spills);
     std::vector<void*>& list = c.free_lists[ci];
     const std::size_t keep = list.size() - kBatch;
     size_class& sc = global().classes[ci];
@@ -382,8 +381,7 @@ class pool {
   static void* refill_and_pop(int ci, std::size_t block, tls_cache* c,
                               tls_counters* tc) {
     LFST_FP_ALLOC("alloc.pool.refill");
-    LFST_T_SPAN(::lfst::trace::sid::pool_refill);
-    LFST_M_COUNT(::lfst::metrics::cid::pool_refills);
+    LFST_SPAN(pool_refill);
     size_class& sc = global().classes[ci];
     const std::size_t want = c != nullptr ? kBatch : 1;
     void* out = nullptr;
@@ -436,9 +434,9 @@ class pool {
         }
       }
       if (reused) {
-        LFST_M_COUNT(::lfst::metrics::cid::pool_hits);
+        LFST_COUNT(pool_hits);
       } else {
-        LFST_M_COUNT(::lfst::metrics::cid::pool_slab_carves);
+        LFST_COUNT(pool_slab_carves);
       }
       return out;  // partial batch: the request itself still succeeds
     }
@@ -451,9 +449,9 @@ class pool {
       }
     }
     if (reused) {
-      LFST_M_COUNT(::lfst::metrics::cid::pool_hits);
+      LFST_COUNT(pool_hits);
     } else {
-      LFST_M_COUNT(::lfst::metrics::cid::pool_slab_carves);
+      LFST_COUNT(pool_slab_carves);
     }
     return out;
   }

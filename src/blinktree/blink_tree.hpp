@@ -36,9 +36,8 @@
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/metrics.hpp"
 #include "common/spin_rw_lock.hpp"
-#include "common/trace.hpp"
+#include "common/telemetry.hpp"
 #include "skiptree/detail/kernel.hpp"
 
 namespace lfst::blinktree {
@@ -80,7 +79,7 @@ class blink_tree {
   // --- operations -------------------------------------------------------------
 
   bool contains(const T& v) const {
-    LFST_T_SPAN(::lfst::trace::sid::blink_contains);
+    LFST_SPAN(blink_contains);
     const node* n = descend_to_leaf(v);
     // Move right at the leaf level, then test membership under a read lock.
     for (;;) {
@@ -96,7 +95,7 @@ class blink_tree {
   }
 
   bool add(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::blink_add);
+    LFST_SPAN(blink_add);
     node* n = leftmost_write_locked_target(v);
     // n is write-locked and covers v.
     const int i = search_keys(n->keys, v);
@@ -125,7 +124,7 @@ class blink_tree {
   }
 
   bool remove(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::blink_remove);
+    LFST_SPAN(blink_remove);
     node* n = leftmost_write_locked_target(v);
     const int i = search_keys(n->keys, v);
     const bool found = i >= 0;
@@ -420,7 +419,7 @@ class blink_tree {
         }
       } catch (const std::bad_alloc&) {
         n->lock.unlock();
-        LFST_M_COUNT(::lfst::metrics::cid::blink_deferred_splits);
+        LFST_COUNT(blink_deferred_splits);
         return;  // split deferred; n untouched and still valid
       }
       right->has_high = n->has_high;
@@ -436,7 +435,7 @@ class blink_tree {
       n->has_high = true;
       n->high = separator;
       n->lock.unlock();
-      LFST_M_COUNT(::lfst::metrics::cid::blink_splits);
+      LFST_COUNT(blink_splits);
 
       // Insert (separator -> right) into the parent level.
       if (was_root) {
@@ -446,7 +445,7 @@ class blink_tree {
           new_root->children.push_back(n);
           new_root->children.push_back(right);
           root_.store(new_root, std::memory_order_release);
-          LFST_M_COUNT(::lfst::metrics::cid::blink_root_splits);
+          LFST_COUNT(blink_root_splits);
           return;
         }
         // Someone grew the tree first: fall through to the generic path.
@@ -461,7 +460,7 @@ class blink_tree {
         parent->children.reserve(parent->children.size() + 1);
       } catch (const std::bad_alloc&) {
         parent->lock.unlock();
-        LFST_M_COUNT(::lfst::metrics::cid::blink_half_splits_left);
+        LFST_COUNT(blink_half_splits_left);
         return;  // half-split: right stays reachable via n's link
       }
       parent->keys.insert(
@@ -470,7 +469,7 @@ class blink_tree {
       parent->children.insert(
           parent->children.begin() + static_cast<std::ptrdiff_t>(idx) + 1,
           right);
-      LFST_M_COUNT(::lfst::metrics::cid::blink_half_split_repairs);
+      LFST_COUNT(blink_half_split_repairs);
       if (parent->keys.size() <= 2 * opts_.min_node_size) {
         parent->lock.unlock();
         return;

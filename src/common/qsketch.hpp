@@ -1,6 +1,6 @@
 // Always-on quantile sketch: HDR/DDSketch-style log-bucketed histogram.
 //
-// The telemetry plane needs per-op latency quantiles (p50/p90/p99/p999)
+// The telemetry registry needs per-op latency quantiles (p50/p90/p99/p999)
 // cheap enough to leave on in release builds.  A full reservoir or t-digest
 // is too expensive and too synchronized for a lock-free hot path, so this
 // sketch trades a bounded RELATIVE error for a fixed-size array of relaxed
@@ -15,14 +15,14 @@
 //
 // 64-bit values fit in 16 * 61 = 976 buckets (~7.6 KiB of counters).
 //
-// Concurrency follows the metrics registry idiom (common/metrics.hpp):
+// Concurrency follows the registry's counter idiom (common/telemetry.hpp):
 // writers pick one of kShards cache-line-padded shards by a per-thread
 // index and fetch_add with relaxed ordering -- no CAS loop, no fence, no
 // contention between threads on different shards.  Readers merge all
 // shards into a plain `qsketch_snapshot`, which supports further merging
 // (cross-thread / cross-process aggregation) and quantile queries.
 // Snapshots taken while writers are active are "fuzzy" in the same way the
-// metrics snapshots are: each counter is individually atomic, the set is
+// registry's counters are: each counter is individually atomic, the set is
 // not -- fine for telemetry, which only ever samples a moving system.
 #pragma once
 

@@ -33,8 +33,7 @@
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/telemetry.hpp"
 #include "reclaim/ebr.hpp"
 #include "reclaim/hazard.hpp"
 #include "reclaim/leaky.hpp"
@@ -124,7 +123,7 @@ class harris_list {
   }
 
   bool contains(const T& v) const {
-    LFST_T_SPAN(::lfst::trace::sid::harris_contains);
+    LFST_SPAN(harris_contains);
     guard_t g(domain_);
   restart:
     node* curr = node::ptr(head_.load(std::memory_order_acquire));
@@ -142,7 +141,7 @@ class harris_list {
   }
 
   bool add(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::harris_add);
+    LFST_SPAN(harris_add);
     guard_t g(domain_);
     backoff bo;
     for (;;) {
@@ -159,14 +158,14 @@ class harris_list {
         return true;
       }
       node::template destroy<Alloc>(fresh);
-      LFST_M_COUNT(::lfst::metrics::cid::harris_add_retries);
-      LFST_T_RETRY();
+      LFST_COUNT(harris_add_retries);
+      LFST_RETRY();
       bo();
     }
   }
 
   bool remove(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::harris_remove);
+    LFST_SPAN(harris_remove);
     guard_t g(domain_);
     backoff bo;
     for (;;) {
@@ -180,8 +179,8 @@ class harris_list {
       if (!victim->next.compare_exchange_strong(
               w, node::mark(w), std::memory_order_acq_rel,
               std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_remove_retries);
-        LFST_T_RETRY();
+        LFST_COUNT(harris_remove_retries);
+        LFST_RETRY();
         bo();
         continue;
       }
@@ -191,7 +190,7 @@ class harris_list {
       if (pos.prev_link->compare_exchange_strong(
               expected, node::pack(node::ptr(w), false),
               std::memory_order_acq_rel, std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
+        LFST_COUNT(harris_physical_removals);
         Reclaim::retire(domain_, victim->template as_retired<Alloc>());
       } else {
         find(v, g);  // help: snips the marked node, retires it there
@@ -259,7 +258,7 @@ class harris_list {
                 std::memory_order_acq_rel, std::memory_order_acquire)) {
           goto retry;  // prev changed: restart
         }
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
+        LFST_COUNT(harris_physical_removals);
         Reclaim::retire(domain_, curr->template as_retired<Alloc>());
         curr = node::ptr(w);
         if (curr == nullptr) return position{prev_link, nullptr, false};
@@ -312,7 +311,7 @@ class harris_list_hp {
   }
 
   bool contains(const T& v) const {
-    LFST_T_SPAN(::lfst::trace::sid::harris_contains);
+    LFST_SPAN(harris_contains);
     reclaim::hp_domain::holder h(domain_);
     position pos{};
     // contains() uses the full protected find (Michael's paper does the
@@ -322,7 +321,7 @@ class harris_list_hp {
   }
 
   bool add(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::harris_add);
+    LFST_SPAN(harris_add);
     reclaim::hp_domain::holder h(domain_);
     backoff bo;
     for (;;) {
@@ -340,14 +339,14 @@ class harris_list_hp {
         return true;
       }
       node::template destroy<Alloc>(fresh);
-      LFST_M_COUNT(::lfst::metrics::cid::harris_add_retries);
-      LFST_T_RETRY();
+      LFST_COUNT(harris_add_retries);
+      LFST_RETRY();
       bo();
     }
   }
 
   bool remove(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::harris_remove);
+    LFST_SPAN(harris_remove);
     reclaim::hp_domain::holder h(domain_);
     backoff bo;
     for (;;) {
@@ -360,8 +359,8 @@ class harris_list_hp {
       if (!victim->next.compare_exchange_strong(
               w, node::mark(w), std::memory_order_acq_rel,
               std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_remove_retries);
-        LFST_T_RETRY();
+        LFST_COUNT(harris_remove_retries);
+        LFST_RETRY();
         bo();
         continue;
       }
@@ -370,7 +369,7 @@ class harris_list_hp {
       if (pos.prev_link->compare_exchange_strong(
               expected, node::pack(node::ptr(w), false),
               std::memory_order_acq_rel, std::memory_order_acquire)) {
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
+        LFST_COUNT(harris_physical_removals);
         domain_.retire(victim->template as_retired<Alloc>());
       } else {
         position dummy{};
@@ -478,7 +477,7 @@ class harris_list_hp {
                 std::memory_order_acquire)) {
           goto retry;
         }
-        LFST_M_COUNT(::lfst::metrics::cid::harris_physical_removals);
+        LFST_COUNT(harris_physical_removals);
         domain_.retire(curr->template as_retired<Alloc>());
         continue;  // window unchanged; examine `next` via prev_link re-read
       }

@@ -5,8 +5,8 @@
 // pass -- stall detection, eviction flagging, quarantine + limbo handoff,
 // epoch advance, overflow drain -- and accumulates the resulting report
 // series.  Ages are configured in wall-clock microseconds and converted to
-// tsc ticks with a running calibration against steady_clock, the same
-// anchoring scheme the trace exporters use (common/trace.hpp).
+// tsc ticks with the telemetry registry's one calibration
+// (common/telemetry.hpp).
 //
 // The watchdog is the only legal driver of stall_tick while it runs (the
 // per-slot observation fields are single-driver state); tests that call
@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "alloc/pool.hpp"
-#include "common/metrics.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
 
 namespace lfst::reclaim {
@@ -63,13 +61,9 @@ class reclaim_watchdog {
  public:
   explicit reclaim_watchdog(ebr_domain& domain,
                             watchdog_options opts = watchdog_options{})
-      : domain_(domain),
-        opts_(opts),
-        t0_(std::chrono::steady_clock::now()),
-        tsc0_(::lfst::metrics::tsc_now()) {
-#if defined(LFST_TELEMETRY)
+      : domain_(domain), opts_(opts) {
     // Publish the latest pass's stall/limbo gauges into the telemetry
-    // plane.  `fill` reads the last report under mu_ (tick_now holds it
+    // registry.  `fill` reads the last report under mu_ (tick_now holds it
     // only to push a sample; no hot-path interaction).
     tel_source_ = telemetry::scoped_source(
         "reclaim",
@@ -87,7 +81,6 @@ class reclaim_watchdog {
           v[3] = static_cast<double>(r.limbo_bytes);
           v[4] = static_cast<double>(r.overflow_bytes);
         });
-#endif
   }
 
   ~reclaim_watchdog() { stop(); }
@@ -108,9 +101,9 @@ class reclaim_watchdog {
   /// Run one pass synchronously on the calling thread (usable with or
   /// without the background thread; see the single-driver caveat above).
   stall_report tick_now() {
-    LFST_T_SPAN(::lfst::trace::sid::reclaim_tick);
-    const std::uint64_t now_tsc = ::lfst::metrics::tsc_now();
-    const double tpu = ticks_per_us(now_tsc);
+    LFST_SPAN(watchdog_tick);
+    const std::uint64_t now_tsc = telemetry::tsc_now();
+    const double tpu = telemetry::registry::instance().ticks_per_us();
     stall_params p;
     p.now_tsc = now_tsc;
     p.stall_age_ticks = to_ticks(opts_.stall_age, tpu);
@@ -157,22 +150,6 @@ class reclaim_watchdog {
     }
   }
 
-  /// Running tsc calibration: ticks per microsecond measured from the
-  /// watchdog's own birth.  Before enough wall-clock has elapsed for a
-  /// stable estimate, returns 0 -- which maps every age threshold to 0
-  /// ticks being required... so instead clamp below to a huge value,
-  /// making thresholds effectively infinite until calibrated (no
-  /// premature flagging in the first instants of a run).
-  double ticks_per_us(std::uint64_t now_tsc) const {
-    const double elapsed_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0_)
-            .count();
-    if (elapsed_us < 500.0) return 1e12;  // uncalibrated: never flag yet
-    const double d = static_cast<double>(now_tsc - tsc0_) / elapsed_us;
-    return d > 0.0 ? d : 1e12;
-  }
-
   static std::uint64_t to_ticks(std::chrono::microseconds us, double tpu) {
     const double t = static_cast<double>(us.count()) * tpu;
     if (t >= 1.8e19) return ~std::uint64_t{0};
@@ -181,18 +158,14 @@ class reclaim_watchdog {
 
   ebr_domain& domain_;
   watchdog_options opts_;
-  std::chrono::steady_clock::time_point t0_;
-  std::uint64_t tsc0_;
   std::atomic<bool> running_{false};
   std::thread thread_;
   mutable std::mutex mu_;
   std::vector<watchdog_sample> series_;
 
-#if defined(LFST_TELEMETRY)
-  // Last member: destroyed first, so the aggregator stops calling into us
+  // Last member: destroyed first, so the sampler stops calling into us
   // before series_/mu_ go away.
   telemetry::scoped_source tel_source_;
-#endif
 };
 
 }  // namespace lfst::reclaim

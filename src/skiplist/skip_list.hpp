@@ -35,9 +35,8 @@
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
+#include "common/telemetry.hpp"
 #include "reclaim/ebr.hpp"
 
 namespace lfst::skiplist {
@@ -87,7 +86,7 @@ class skip_list {
   // --- operations -------------------------------------------------------------
 
   bool contains(const T& v) const {
-    LFST_T_SPAN(::lfst::trace::sid::skiplist_contains);
+    LFST_SPAN(skiplist_contains);
     guard_t g(domain_);
   restart:
     const node* pred = head_;
@@ -121,7 +120,7 @@ class skip_list {
   /// Deterministic-height insertion (test hook; `add` draws geometric).
   bool add_with_level(const T& v, int top) {
     assert(top >= 0 && top <= opts_.max_level);
-    LFST_T_SPAN(::lfst::trace::sid::skiplist_add);
+    LFST_SPAN(skiplist_add);
     guard_t g(domain_);
     node* preds[kMaxLevelLimit + 1];
     node* succs[kMaxLevelLimit + 1];
@@ -139,8 +138,8 @@ class skip_list {
               expected, node::pack(fresh, false), std::memory_order_acq_rel,
               std::memory_order_relaxed)) {
         node::destroy(fresh);  // never published
-        LFST_M_COUNT(::lfst::metrics::cid::skiplist_add_retries);
-        LFST_T_RETRY();
+        LFST_COUNT(skiplist_add_retries);
+        LFST_RETRY();
         bo();
         continue;
       }
@@ -151,7 +150,7 @@ class skip_list {
   }
 
   bool remove(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::skiplist_remove);
+    LFST_SPAN(skiplist_remove);
     guard_t g(domain_);
     node* preds[kMaxLevelLimit + 1];
     node* succs[kMaxLevelLimit + 1];
@@ -179,8 +178,8 @@ class skip_list {
         Reclaim::retire(domain_, victim->as_retired());
         return true;
       }
-      LFST_M_COUNT(::lfst::metrics::cid::skiplist_remove_retries);
-      LFST_T_RETRY();
+      LFST_COUNT(skiplist_remove_retries);
+      LFST_RETRY();
     }
   }
 
@@ -432,7 +431,7 @@ class skip_list {
                   std::memory_order_acq_rel, std::memory_order_acquire)) {
             goto retry;  // pred changed or was marked: restart
           }
-          LFST_M_COUNT(::lfst::metrics::cid::skiplist_physical_unlinks);
+          LFST_COUNT(skiplist_physical_unlinks);
           curr = node::ptr(w);
           if (curr == nullptr) break;
           w = curr->next(lvl)->load(std::memory_order_acquire);

@@ -42,11 +42,10 @@ struct compact_ops {
   static bool remove(Core& core, const T& v) {
     search s = traverse_and_cleanup(core, v);
     backoff bo;
-    LFST_M_TALLY(lfst_m_retries);
+    LFST_TALLY(lfst_retries);
     for (;;) {
       if (s.index < 0) {
-        LFST_M_HIST(::lfst::metrics::hid::skiptree_cas_retries_per_op,
-                    lfst_m_retries);
+        LFST_VALUE(skiptree_cas_retries_per_op, lfst_retries);
         return false;  // linearized at the leaf payload read
       }
       contents_t* repl;
@@ -61,13 +60,12 @@ struct compact_ops {
         // Linearization point of a successful remove.
         core.retire(s.cts);
         core.size.fetch_sub(1, std::memory_order_relaxed);
-        LFST_M_HIST(::lfst::metrics::hid::skiptree_cas_retries_per_op,
-                    lfst_m_retries);
+        LFST_VALUE(skiptree_cas_retries_per_op, lfst_retries);
         return true;
       }
       Core::destroy(repl);
       core.bump_cas_failure(s.node, /*level=*/0);
-      LFST_M_TALLY_INC(lfst_m_retries);
+      LFST_TALLY_INC(lfst_retries);
       bo();
       s = core.move_forward(s.node, v);
     }
@@ -136,7 +134,6 @@ struct compact_ops {
       if (core.cas_payload(nd, cts, repl)) {
         core.retire(cts);
         core.bump(tree_counter::empty_bypasses);
-        LFST_M_TRACE(::lfst::metrics::eid::skiptree_compact_8a, 0);
         cts = repl;
       } else {
         // cts reloaded; nd changed under us.  Moving right remains safe
@@ -183,11 +180,9 @@ struct compact_ops {
       if (core.cas_payload(nd, cts, repl)) {
         core.retire(cts);
         if (ccts->empty()) {
-          core.bump(tree_counter::empty_bypasses);
-          LFST_M_TRACE(::lfst::metrics::eid::skiptree_compact_8a, idx);
+          core.bump(tree_counter::empty_bypasses, idx);
         } else {
-          core.bump(tree_counter::ref_repairs);
-          LFST_M_TRACE(::lfst::metrics::eid::skiptree_compact_8b, idx);
+          core.bump(tree_counter::ref_repairs, idx);
         }
       } else {
         Core::destroy(repl);
@@ -213,8 +208,7 @@ struct compact_ops {
         LFST_FP_POINT("skiptree.compact.8c");
         if (core.cas_payload(nd, cts, repl)) {
           core.retire(cts);
-          core.bump(tree_counter::duplicate_drops);
-          LFST_M_TRACE(::lfst::metrics::eid::skiptree_compact_8c, j);
+          core.bump(tree_counter::duplicate_drops, j);
         } else {
           Core::destroy(repl);
         }
@@ -276,8 +270,7 @@ struct compact_ops {
     }
     if (core.cas_payload(src, scts, shrunk)) {
       core.retire(scts);
-      core.bump(tree_counter::migrations);
-      LFST_M_TRACE(::lfst::metrics::eid::skiptree_compact_8d, j);
+      core.bump(tree_counter::migrations, j);
     } else {
       Core::destroy(shrunk);
     }

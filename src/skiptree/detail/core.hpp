@@ -39,9 +39,8 @@
 #include "alloc/pool.hpp"
 #include "common/align.hpp"
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
-#include "common/trace.hpp"
+#include "common/telemetry.hpp"
 #include "reclaim/ebr.hpp"
 #include "skiptree/contents.hpp"
 #include "skiptree/detail/kernel.hpp"
@@ -50,9 +49,8 @@
 namespace lfst::skiptree {
 
 /// Structural event ids, one per diagnostic counter a tree keeps about
-/// itself.  The order MUST mirror the `skiptree_*` block of `metrics::cid`
-/// (common/metrics.hpp): per-tree bumps are forwarded to the process-wide
-/// registry with a single static_cast.
+/// itself.  Under LFST_METRICS each bump is mirrored into the process-wide
+/// registry as the event kTreeEvents names.
 enum class tree_counter : std::uint16_t {
   cas_failures = 0,     ///< lost CAS races (contention probe)
   splits,
@@ -66,11 +64,22 @@ enum class tree_counter : std::uint16_t {
   kCount
 };
 
-static_assert(static_cast<std::uint16_t>(metrics::cid::skiptree_cas_failures) ==
-              static_cast<std::uint16_t>(tree_counter::cas_failures));
-static_assert(
-    static_cast<std::uint16_t>(metrics::cid::skiptree_compactions_skipped) ==
-    static_cast<std::uint16_t>(tree_counter::compactions_skipped));
+/// Registry event of each tree counter: structural changes are marks (the
+/// compaction transforms of paper Fig. 8 keep their figure labels), the
+/// rest counts.
+inline constexpr telemetry::ev kTreeEvents[] = {
+    telemetry::ev::skiptree_cas_failures,
+    telemetry::ev::skiptree_split,
+    telemetry::ev::skiptree_root_raise,
+    telemetry::ev::skiptree_compact_8a,  // empty-node bypass
+    telemetry::ev::skiptree_compact_8b,  // suboptimal-reference repair
+    telemetry::ev::skiptree_compact_8c,  // duplicate-child drop
+    telemetry::ev::skiptree_compact_8d,  // element migration
+    telemetry::ev::skiptree_alloc_failures,
+    telemetry::ev::skiptree_compactions_skipped,
+};
+static_assert(std::size(kTreeEvents) ==
+              static_cast<std::size_t>(tree_counter::kCount));
 
 /// Short name of a tree counter (the validator's metrics section uses these).
 constexpr std::string_view tree_counter_name(tree_counter c) noexcept {
@@ -146,10 +155,8 @@ struct tree_core {
 
   // Structural event counters (diagnostics; relaxed, off the fast path).
   // Per-instance and always on -- tests assert exact per-tree counts, which a
-  // process-wide slot cannot give them.  `bump` is the only writer; under
-  // LFST_METRICS it also mirrors the event into the global registry so
-  // cross-structure dumps see every tree's events combined.
-  metrics::instance_counters<tree_counter> counters;
+  // process-wide slot cannot give them.  `bump` is the only writer.
+  telemetry::instance_counters<tree_counter> counters;
 
   // CAS-contention heatmap (skiptree/heatmap.hpp).  Like `counters`: per
   // instance, always on, relaxed, written only from the CAS-failure slow
@@ -158,22 +165,28 @@ struct tree_core {
   // cas_failures counter exactly -- tests and contention_profile assert it.
   cas_heatmap heat;
 
-  void bump(tree_counter c) noexcept {
+  /// Count one structural event; `arg` is the mark payload (a node index)
+  /// in LFST_METRICS builds.
+  void bump(tree_counter c, [[maybe_unused]] std::uint64_t arg = 0) noexcept {
     counters.inc(c);
-    // Every lost CAS race funnels through this bump, so it doubles as the
-    // span layer's retry hook: the innermost live span (the add/remove this
-    // thread is executing) gets charged one retry.
-    if (c == tree_counter::cas_failures) LFST_T_RETRY();
-    LFST_M_COUNT(static_cast<metrics::cid>(
-        static_cast<std::uint16_t>(c)));
+    if constexpr (telemetry::kMetricsBuild) {
+      const telemetry::ev e = kTreeEvents[static_cast<std::size_t>(c)];
+      auto& reg = telemetry::registry::instance();
+      if (telemetry::kind_of(e) == telemetry::kind::mark) {
+        reg.mark(e, arg);
+      } else {
+        reg.count(e);
+      }
+    }
   }
 
   /// A payload CAS on `nd`'s list at `level` lost its race.  Attributes
-  /// the failure in the heatmap, then funnels through bump() for the
-  /// counter / span-retry / metrics mirrors.
+  /// the failure in the heatmap, counts it, and charges one retry to the
+  /// innermost live span (the add/remove this thread is executing).
   void bump_cas_failure(const node_t* nd, int level) noexcept {
     heat.record(level, nd);
     bump(tree_counter::cas_failures);
+    LFST_RETRY();
   }
 
   // --- lifecycle -------------------------------------------------------------

@@ -86,28 +86,27 @@ struct insert_ops {
     if (h > head->height) h = head->height;
     int level = head->height;
     node_t* nd = head->node;
-    LFST_M_TALLY(lfst_m_depth);
+    LFST_TALLY(lfst_depth);
     for (;;) {
       contents_t* cts = Core::load_payload(nd);
       Core::prefetch_payload(cts);
       const int i = core.search_keys(*cts, v);
       if (Core::is_past_end(i, *cts)) {
         nd = cts->link;
-        LFST_M_TALLY_INC(lfst_m_depth);
-        LFST_T_STEP();
+        LFST_TALLY_INC(lfst_depth);
+        LFST_STEP();
       } else {
         if (level <= h) {
           srchs[level] = search{nd, cts, i};
         }
         if (level == 0) {
-          LFST_M_HIST(::lfst::metrics::hid::skiptree_traversal_depth,
-                      lfst_m_depth);
+          LFST_VALUE(skiptree_traversal_depth, lfst_depth);
           return h;
         }
         nd = cts->children()[Core::descend_index(i)];
         --level;
-        LFST_M_TALLY_INC(lfst_m_depth);
-        LFST_T_STEP();
+        LFST_TALLY_INC(lfst_depth);
+        LFST_STEP();
       }
     }
   }
@@ -129,9 +128,8 @@ struct insert_ops {
                                             std::memory_order_acq_rel,
                                             std::memory_order_acquire)) {
         Reclaim::retire(core.domain, head);
-        core.bump(tree_counter::root_raises);
-        LFST_M_TRACE(::lfst::metrics::eid::skiptree_root_raise,
-                     static_cast<std::uint64_t>(grown->height));
+        core.bump(tree_counter::root_raises,
+                  static_cast<std::uint64_t>(grown->height));
         head = grown;
       } else {
         // Lost the race: `top` stays in the arena (freed with the tree),
@@ -155,11 +153,10 @@ struct insert_ops {
     contents_t* cts = s.cts;
     int i = s.index;
     backoff bo;
-    LFST_M_TALLY(lfst_m_retries);
+    LFST_TALLY(lfst_retries);
     for (;;) {
       if (i >= 0) {
-        LFST_M_HIST(::lfst::metrics::hid::skiptree_cas_retries_per_op,
-                    lfst_m_retries);
+        LFST_VALUE(skiptree_cas_retries_per_op, lfst_retries);
         return false;  // already present at this level
       }
       if (Core::is_past_end(i, *cts)) {
@@ -181,13 +178,12 @@ struct insert_ops {
       if (core.cas_payload(nd, cts, repl)) {
         core.retire(cts);
         s = search{nd, repl, static_cast<int>(pos)};
-        LFST_M_HIST(::lfst::metrics::hid::skiptree_cas_retries_per_op,
-                    lfst_m_retries);
+        LFST_VALUE(skiptree_cas_retries_per_op, lfst_retries);
         return true;
       }
       Core::destroy(repl);
       core.bump_cas_failure(nd, level);
-      LFST_M_TALLY_INC(lfst_m_retries);
+      LFST_TALLY_INC(lfst_retries);
       // cts now holds nd's current payload (CAS reloads on failure).
       bo();
       i = core.search_keys(*cts, v);
@@ -237,9 +233,7 @@ struct insert_ops {
       LFST_FP_POINT("skiptree.split.publish");
       if (core.cas_payload(nd, cts, left)) {
         core.retire(cts);
-        core.bump(tree_counter::splits);
-        LFST_M_TRACE(::lfst::metrics::eid::skiptree_split,
-                     static_cast<std::uint64_t>(pos));
+        core.bump(tree_counter::splits, pos);
         s = search{nd, left, static_cast<int>(pos)};
         return rnode;
       }

@@ -22,9 +22,8 @@
 // (`max_nodes_per_level`) to keep probe cost O(height * bound) regardless
 // of tree size -- background-safe by construction.
 //
-// Each probe also lands in the observability layer: a metrics-build
-// records the backlog and occupancy into registry histograms and drops a
-// trace event; a trace-build wraps the walk in a `health_probe` span.
+// Under LFST_METRICS each probe is also a `skiptree.health_probe` span and
+// records its backlog and occupancy as telemetry values.
 #pragma once
 
 #include <atomic>
@@ -36,9 +35,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace.hpp"
 #include "skiptree/skip_tree.hpp"
 
 namespace lfst::skiptree {
@@ -109,7 +106,7 @@ class skip_tree_health {
   /// Walk a bounded sample of every level and return the census.  Safe
   /// under concurrent mutation (see the concurrency contract above).
   health_sample probe() {
-    LFST_T_SPAN(::lfst::trace::sid::health_probe);
+    LFST_SPAN(health_probe);
     guard_t g(tree_.core_.domain);
     Compare cmp = tree_.core_.cmp;
 
@@ -152,12 +149,10 @@ class skip_tree_health {
       head = next_head;
     }
 
-    LFST_M_HIST(::lfst::metrics::hid::skiptree_health_backlog,
-                static_cast<std::uint64_t>(s.compaction_backlog()));
-    LFST_M_HIST(::lfst::metrics::hid::skiptree_health_occupancy_pct,
-                static_cast<std::uint64_t>(s.occupancy_pct()));
-    LFST_M_TRACE(::lfst::metrics::eid::skiptree_health_probe,
-                 static_cast<std::uint64_t>(s.sampled_nodes));
+    LFST_VALUE(health_backlog,
+               static_cast<std::uint64_t>(s.compaction_backlog()));
+    LFST_VALUE(health_occupancy_pct,
+               static_cast<std::uint64_t>(s.occupancy_pct()));
     return s;
   }
 
@@ -279,7 +274,7 @@ class health_ticker {
   std::thread thread_;
   mutable std::mutex mu_;
   std::vector<health_sample> series_;
-  // Last member: unregisters from the telemetry plane before mu_/series_
+  // Last member: unregisters from the telemetry registry before mu_/series_
   // (which the gauge callback reads) are torn down.
   telemetry::scoped_source tel_source_;
 };

@@ -34,7 +34,6 @@
 
 #include "alloc/pool.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace.hpp"
 #include "reclaim/ebr.hpp"
 #include "skiptree/contents.hpp"
 #include "skiptree/detail/bulk_load.hpp"
@@ -87,8 +86,7 @@ class skip_tree {
 
   /// Wait-free membership test.
   bool contains(const T& v) const {
-    LFST_T_SPAN(::lfst::trace::sid::skiptree_contains);
-    LFST_TEL_OP(::lfst::telemetry::skid::op_contains);
+    LFST_SPAN(skiptree_contains);
     guard_t g(core_.domain);
     return detail::traverse_ops<core_t>::contains(core_, v, g);
   }
@@ -100,8 +98,7 @@ class skip_tree {
   /// structural tests use; `add` draws the height from the geometric
   /// distribution Pr(H = h) = q^h (1 - q).
   bool add_with_height(const T& v, int height) {
-    LFST_T_SPAN(::lfst::trace::sid::skiptree_add);
-    LFST_TEL_OP(::lfst::telemetry::skid::op_add);
+    LFST_SPAN(skiptree_add);
     guard_t g(core_.domain);
     return detail::insert_ops<core_t>::add(core_, v, height);
   }
@@ -109,8 +106,7 @@ class skip_tree {
   /// Lock-free removal with piggybacked node compaction.  Returns false iff
   /// `v` was absent.
   bool remove(const T& v) {
-    LFST_T_SPAN(::lfst::trace::sid::skiptree_remove);
-    LFST_TEL_OP(::lfst::telemetry::skid::op_remove);
+    LFST_SPAN(skiptree_remove);
     guard_t g(core_.domain);
     return detail::compact_ops<core_t>::remove(core_, v);
   }
@@ -235,7 +231,7 @@ class skip_tree {
 
   /// Structural event counters (diagnostics; relaxed, updated off the fast
   /// path only).  Compatibility shim over the tree's `tree_counter` array
-  /// (detail/core.hpp) -- the snapshot is generated from the metrics layer's
+  /// (detail/core.hpp) -- the snapshot is generated from the telemetry header's
   /// `instance_counters`, one field per `tree_counter` in enum order.
   struct structural_stats {
     std::uint64_t cas_failures = 0;  ///< lost CAS races (contention probe)

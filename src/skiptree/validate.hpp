@@ -31,10 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "common/telemetry_export.hpp"
 #include "skiptree/skip_tree.hpp"
-#if defined(LFST_METRICS)
-#include "common/metrics_export.hpp"
-#endif
 
 namespace lfst::skiptree {
 
@@ -136,10 +134,10 @@ class skip_tree_inspector {
       os << tree_counter_name(static_cast<tree_counter>(i)) << "="
          << snap[i];
     }
-#if defined(LFST_METRICS)
-    os << "\n  global metrics:\n"
-       << metrics::to_table(metrics::registry::instance().aggregate());
-#endif
+    if constexpr (telemetry::kMetricsBuild) {
+      os << "\n  global metrics:\n"
+         << telemetry::to_table(telemetry::registry::instance().capture());
+    }
     return os.str();
   }
 

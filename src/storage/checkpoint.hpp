@@ -50,9 +50,7 @@
 #include <unistd.h>
 
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace.hpp"
 #include "skiptree/serialize.hpp"
 #include "storage/wal.hpp"
 
@@ -149,9 +147,8 @@ inline std::pair<std::uint64_t, std::uint64_t> prune_storage_dir(
 template <typename T, typename Tree>
 checkpoint_result write_checkpoint(const Tree& tree, int q_log2, wal& log,
                                    std::size_t keep = 2) {
-  LFST_T_SPAN(::lfst::trace::sid::storage_checkpoint);
+  LFST_SPAN(checkpoint);
   LFST_FP_POINT("storage.checkpoint.begin");
-  [[maybe_unused]] const std::uint64_t t0 = metrics::tsc_now();
   const auto wall0 = std::chrono::steady_clock::now();
   checkpoint_result out;
   out.cp_lsn = log.rotate();
@@ -178,7 +175,6 @@ checkpoint_result write_checkpoint(const Tree& tree, int q_log2, wal& log,
   LFST_FP_POINT("storage.checkpoint.rename");
   std::filesystem::rename(tmp_path, final_path);
   fsync_directory(dir);
-  LFST_M_COUNT(::lfst::metrics::cid::storage_checkpoints);
 
   const auto [cps, segs] = prune_storage_dir(dir, keep);
   out.pruned_checkpoints = cps;
@@ -186,8 +182,6 @@ checkpoint_result write_checkpoint(const Tree& tree, int q_log2, wal& log,
   out.duration_us = std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() - wall0)
                         .count();
-  LFST_TEL_RECORD(::lfst::telemetry::skid::checkpoint,
-                  metrics::tsc_now() - t0);
   return out;
 }
 

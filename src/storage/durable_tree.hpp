@@ -167,16 +167,14 @@ class durable_tree {
  private:
   void commit(wal_op op, const T& key) {
     static_assert(std::is_trivially_copyable_v<T>);
-    // The commit sketch spans append -> durable ack: what a caller
-    // actually waits for (group-commit parking included), not just the
-    // fsync syscall the WAL times separately.
-    [[maybe_unused]] const std::uint64_t t0 = metrics::tsc_now();
+    // The commit span covers append -> durable ack: what a caller actually
+    // waits for (group-commit parking included), not just the fsync
+    // syscall the WAL times separately.
+    LFST_SPAN(wal_commit);
     const lsn_t lsn = wal_->append(op, &key, sizeof(T));
     if (opts_.wal.sync == fsync_policy::every_commit) {
       wal_->wait_durable(lsn);
     }
-    LFST_TEL_RECORD(::lfst::telemetry::skid::wal_commit,
-                    metrics::tsc_now() - t0);
   }
 
   void checkpointer_main() {

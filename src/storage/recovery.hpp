@@ -45,8 +45,7 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/telemetry.hpp"
 #include "skiptree/serialize.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/wal.hpp"
@@ -65,7 +64,7 @@ struct recovery_result {
   bool torn_tail = false;  ///< last segment ended in a torn/corrupt record
   bool empty_dir = false;  ///< nothing recovered; directory was fresh
   // Phase timings (wall clock).  Recovery runs cold, before the telemetry
-  // plane has anything to sample, so the result carries them directly;
+  // sampler has anything to read, so the result carries them directly;
   // durable_tree surfaces them in its recovery stats.
   double us_checkpoint_load = 0.0;  ///< choose + validate + load the image
   double us_replay = 0.0;           ///< scan segments, apply the tail
@@ -81,7 +80,7 @@ template <typename T, typename Compare = std::less<T>>
 recovery_result<T> recover(const std::string& dir, bool repair = true) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "durable storage requires trivially copyable keys");
-  LFST_T_SPAN(::lfst::trace::sid::storage_replay);
+  LFST_SPAN(replay);
   recovery_result<T> out;
   std::filesystem::create_directories(dir);
   using clock = std::chrono::steady_clock;
@@ -142,7 +141,7 @@ recovery_result<T> recover(const std::string& dir, bool repair = true) {
           apply(op, p, n);
           out.last_lsn = lsn;
           ++out.replayed;
-          LFST_M_COUNT(::lfst::metrics::cid::storage_replay_records);
+          LFST_COUNT(replay_records);
         });
     ++out.segments_scanned;
     if (!scan.header_ok) {

@@ -72,9 +72,7 @@
 
 #include "common/crc32c.hpp"
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace.hpp"
 
 namespace lfst::storage {
 
@@ -161,8 +159,8 @@ inline void fsync_directory(const std::string& dir) {
   }
 }
 
-/// Always-on WAL statistics (plain atomics; the metrics registry mirrors
-/// them in -DLFST_METRICS builds).
+/// Always-on WAL statistics (plain atomics; the telemetry registry records
+/// appends, fsyncs and rotations as events too).
 struct wal_stats {
   std::uint64_t appends = 0;
   std::uint64_t bytes_appended = 0;
@@ -187,8 +185,7 @@ class wal {
     std::lock_guard<std::mutex> g(io_mu_);
     open_segment_locked(next_lsn);
     flusher_ = std::thread([this] { flusher_main(); });
-#if defined(LFST_TELEMETRY)
-    // Publish the flusher gauges into the telemetry plane.  Columns are
+    // Publish the flusher gauges into the telemetry registry.  Columns are
     // append-only by name, so per-trial WAL instances (benches) reuse the
     // same schema slots.  The source reads atomics only -- safe against
     // concurrent close().
@@ -205,7 +202,6 @@ class wal {
           v[3] = static_cast<double>(s.fsyncs);
           v[4] = static_cast<double>(s.rotations);
         });
-#endif
   }
 
   wal(const wal&) = delete;
@@ -239,9 +235,7 @@ class wal {
       appends_.fetch_add(1, std::memory_order_relaxed);
       bytes_appended_.fetch_add(kRecordHeaderBytes + len,
                                 std::memory_order_relaxed);
-      LFST_M_COUNT(::lfst::metrics::cid::storage_wal_appends);
-      LFST_M_ADD(::lfst::metrics::cid::storage_wal_bytes,
-                 kRecordHeaderBytes + len);
+      LFST_VALUE(wal_append_bytes, kRecordHeaderBytes + len);
       // Wake the flusher only on the idle -> pending edge.  An appender
       // that finds the flag already set leaves its record to the drain
       // that will clear it (see flusher_main), so the hot path skips the
@@ -293,7 +287,7 @@ class wal {
     file_ = nullptr;
     open_segment_locked(sealed + 1);
     rotations_.fetch_add(1, std::memory_order_relaxed);
-    LFST_M_COUNT(::lfst::metrics::cid::storage_wal_rotations);
+    LFST_COUNT(wal_rotations);
     return sealed;
   }
 
@@ -325,7 +319,7 @@ class wal {
     return durable_lsn_.load(std::memory_order_acquire);
   }
   /// Flusher lag: records granted an LSN but not yet hardened by fsync.
-  /// Zero the moment the WAL is fully durable; the telemetry plane samples
+  /// Zero the moment the WAL is fully durable; the telemetry sampler reads
   /// it as storage.wal.lag_records.
   lsn_t flush_lag() const noexcept {
     const lsn_t assigned = last_assigned();
@@ -437,7 +431,7 @@ class wal {
       // drain collects it.  An append after the clear sees `false` and
       // wakes us again.  flusher_poll is only a backstop.
       work_pending_.exchange(false, std::memory_order_acq_rel);
-      LFST_T_SPAN(::lfst::trace::sid::wal_flush);
+      LFST_SPAN(wal_flush);
       std::lock_guard<std::mutex> g(io_mu_);
       const std::size_t wrote = drain_once_locked();
       const bool interval_due =
@@ -525,16 +519,12 @@ class wal {
     }
     std::fflush(file_);
     LFST_FP_POINT("storage.wal.fsync");
-    [[maybe_unused]] const std::uint64_t t0 = metrics::tsc_now();
-    ::fsync(::fileno(file_));
-    [[maybe_unused]] const std::uint64_t dt = metrics::tsc_now() - t0;
-    // Low-rate path: the telemetry sketches record every fsync unsampled.
-    LFST_TEL_RECORD(::lfst::telemetry::skid::wal_fsync, dt);
-    LFST_TEL_RECORD(::lfst::telemetry::skid::wal_batch, unsynced_records_);
-    LFST_M_HIST(::lfst::metrics::hid::storage_fsync_ticks, dt);
-    LFST_M_HIST(::lfst::metrics::hid::storage_commit_batch,
-                unsynced_records_);
-    LFST_M_COUNT(::lfst::metrics::cid::storage_wal_fsyncs);
+    {
+      // Low-rate path: timed on every fsync, not sampled.
+      LFST_SPAN(wal_fsync);
+      ::fsync(::fileno(file_));
+    }
+    LFST_VALUE(wal_batch, unsynced_records_);
     fsyncs_.fetch_add(1, std::memory_order_relaxed);
     unsynced_records_ = 0;
     last_sync_ = std::chrono::steady_clock::now();
@@ -600,11 +590,9 @@ class wal {
   std::atomic<std::uint64_t> fsyncs_{0};
   std::atomic<std::uint64_t> rotations_{0};
 
-#if defined(LFST_TELEMETRY)
-  // Last member on purpose: destroyed first, so the aggregator can no
-  // longer call our fill lambda while the rest of the WAL tears down.
+  // Last member on purpose: destroyed first, so the sampler can no longer
+  // call our fill lambda while the rest of the WAL tears down.
   telemetry::scoped_source tel_source_;
-#endif
 };
 
 // --- segment replay ----------------------------------------------------------

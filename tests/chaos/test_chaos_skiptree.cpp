@@ -42,15 +42,11 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry_export.hpp"
 #include "skiptree/health.hpp"
 #include "skiptree/skip_tree.hpp"
 #include "skiptree/validate.hpp"
-
-#if defined(LFST_METRICS)
-#include "common/metrics_export.hpp"
-#endif
 
 namespace lfst::skiptree {
 namespace {
@@ -93,7 +89,7 @@ void arm(const schedule& s) {
   registry::instance().reset_all();
   // Start each schedule from a clean metrics slate so the post-run dump
   // attributes every count to this fault family alone.
-  metrics::registry::instance().reset();
+  telemetry::registry::instance().reset();
   if (s.oom) {
     for (const char* site : kAllocSites) {
       registry::instance().configure(
@@ -208,14 +204,12 @@ void run_schedule(const schedule& sched) {
       100.0 * last.empty_fraction(), last.suboptimal_refs,
       last.occupancy_pct());
 
-#if defined(LFST_METRICS)
   // Post-mortem view of what the fault schedule actually perturbed: retry
-  // storms, skipped compactions, EBR lag.  Threads have joined, so the
-  // aggregation is exact.
-  std::printf("--- metrics after schedule '%s' ---\n%s\n", sched.name,
-              metrics::to_table(metrics::registry::instance().aggregate())
-                  .c_str());
-#endif
+  // storms, skipped compactions, EBR lag (all zero without LFST_METRICS).
+  // Threads have joined, so the totals are exact.
+  std::printf(
+      "--- telemetry after schedule '%s' ---\n%s\n", sched.name,
+      telemetry::to_table(telemetry::registry::instance().capture()).c_str());
 
   std::set<int> expected;
   for (const auto& m : mirrors) expected.insert(m.begin(), m.end());

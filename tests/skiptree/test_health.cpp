@@ -76,7 +76,9 @@ TEST(Health, ChurnWithoutCompactionLeavesVisibleBacklog) {
 
   for (int k = 0; k < 2048; ++k) ASSERT_TRUE(tree.add(k));
   for (int k = 0; k < 2048; ++k) {
-    if (k % 8 != 0) ASSERT_TRUE(tree.remove(k));
+    if (k % 8 != 0) {
+      ASSERT_TRUE(tree.remove(k));
+    }
   }
 
   health_options opts;
@@ -154,27 +156,6 @@ TEST(Health, TickerCollectsSeriesUnderConcurrentChurn) {
   ticker.stop();
   domain.flush();
 }
-
-#if defined(LFST_METRICS)
-TEST(Health, ProbeFeedsMetricsRegistry) {
-  metrics::registry::instance().reset();
-  reclaim::ebr_domain domain;
-  skip_tree<int> tree(skip_tree_options{}, domain);
-  for (int k = 0; k < 256; ++k) tree.add(k);
-  skip_tree_health<int> health(tree);
-  health.probe();
-  const auto snap = metrics::registry::instance().aggregate();
-  EXPECT_EQ(
-      snap.histogram(metrics::hid::skiptree_health_backlog).count, 1u);
-  EXPECT_EQ(
-      snap.histogram(metrics::hid::skiptree_health_occupancy_pct).count, 1u);
-  bool saw_probe_event = false;
-  for (const auto& ev : metrics::registry::instance().drain_trace()) {
-    if (ev.id == metrics::eid::skiptree_health_probe) saw_probe_event = true;
-  }
-  EXPECT_TRUE(saw_probe_event);
-}
-#endif  // LFST_METRICS
 
 }  // namespace
 }  // namespace lfst::skiptree

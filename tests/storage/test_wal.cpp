@@ -396,16 +396,17 @@ TEST_F(WalTest, FlushLagTracksUndurableRecords) {
   EXPECT_EQ(log.flush_lag(), 0u);
 }
 
-#if defined(LFST_TELEMETRY)
 TEST_F(WalTest, FsyncAndBatchSketchesRecord) {
-  // Each sync_locked() feeds two sketches: the fsync latency and the
-  // batch size (records hardened by that fsync).  flush() after 3 appends
-  // must add at least one observation to each.
-  auto& p = lfst::telemetry::plane::instance();
-  const auto fsync_before =
-      p.sketch(lfst::telemetry::skid::wal_fsync).count;
-  const auto batch_before =
-      p.sketch(lfst::telemetry::skid::wal_batch).count;
+  // Each sync_locked() feeds two sketches: the fsync span's duration and
+  // the batch size (records hardened by that fsync).  flush() after 3
+  // appends must add at least one observation to each.
+  using lfst::telemetry::ev;
+  if (!lfst::telemetry::live(ev::wal_fsync)) {
+    GTEST_SKIP() << "storage timings are compiled out of this build";
+  }
+  auto& r = lfst::telemetry::registry::instance();
+  const auto fsync_before = r.sketch(ev::wal_fsync).count;
+  const auto batch_before = r.sketch(ev::wal_batch).count;
   {
     wal_options o;
     o.sync = fsync_policy::none;  // all hardening happens in flush()
@@ -416,13 +417,11 @@ TEST_F(WalTest, FsyncAndBatchSketchesRecord) {
     log.flush();
     log.close();
   }
-  EXPECT_GT(p.sketch(lfst::telemetry::skid::wal_fsync).count,
-            fsync_before);
-  const auto batch = p.sketch(lfst::telemetry::skid::wal_batch);
+  EXPECT_GT(r.sketch(ev::wal_fsync).count, fsync_before);
+  const auto batch = r.sketch(ev::wal_batch);
   EXPECT_GT(batch.count, batch_before);
   EXPECT_GE(batch.max, 3u);  // the flush hardened all three at once
 }
-#endif  // LFST_TELEMETRY
 
 TEST_F(WalTest, StatsCount) {
   wal log(dir_, 1);

@@ -28,22 +28,18 @@ synthetic 20% regression -- must fail), exiting nonzero if the gate logic
 misbehaves.  CI runs this deterministic check plus a lenient --normalize
 diff of the real run.
 
---check-metrics validates a --metrics-json sidecar (the JSON-lines file
-benches write next to their bench JSON) instead of diffing throughput.
---require NAME fails unless a counter/gauge has a nonzero value (for a
-histogram, a nonzero sample count) -- use it to prove an instrumented
-path actually ran, e.g. that a contended run recorded a limbo-bytes
-high-watermark.  --require-under NAME=LIMIT additionally bounds the
-value: `--require-under ebr.limbo_bytes_hwm=1048576` fails the gate if
-retired memory ever piled past 1 MiB, which is how CI keeps the
-stall-tolerant reclamation cap honest on real workloads.
-
-Telemetry sidecars (--telemetry-json, common/telemetry.hpp) are accepted
-by the same flag: every numeric field of a "sketch" summary line expands
-to a synthetic gauge named {sketch}.{field}, so latency quantiles gate
-exactly like counters -- `--require op.add.count` proves the add path
-was sampled, and `--require-under op.contains.p99_us=20000` fails the
-build when sampled contains latency blows past 20 ms at p99.
+--check-metrics validates a --telemetry-json sidecar (the JSON-lines file
+benches write next to their bench JSON; common/telemetry_export.hpp)
+instead of diffing throughput.  Count and mark lines gate on their
+"value"; every numeric field of a value or span line expands to a
+synthetic metric named {event}.{field}, so sketch statistics gate like
+counters.  --require NAME fails unless the metric exists with a nonzero
+value -- use it to prove an instrumented path actually ran, e.g.
+`--require skiptree.add.count`.  --require-under NAME=LIMIT additionally
+bounds it: `--require-under ebr.limbo_bytes.max=1048576` fails the gate if
+retired memory ever piled past 1 MiB, and `--require-under
+skiptree.contains.p99_us=20000` if sampled contains latency passes 20 ms
+at p99.
 
 Exit status: 0 clean, 1 regression/check failure (or self-test logic
 failure), 2 usage.
@@ -115,14 +111,12 @@ def diff(base, cand, threshold, noise_sigma, normalize, out=sys.stdout):
 
 
 def load_metrics(path):
-    """Parse a JSON-lines metrics/telemetry sidecar into {name: record}.
+    """Parse a JSON-lines telemetry sidecar into {name: value}.
 
-    Counters and gauges carry "value"; histograms carry "count"/"sum".
-    Telemetry "sketch" summaries expand into one synthetic gauge per
-    numeric field, named {sketch}.{field} (op.add.p99_us, op.add.count,
-    storage.wal.batch.p99, ...), so quantiles gate like any metric.
-    Later lines win on a name collision (a process that dumps twice
-    leaves its final snapshot last).
+    Count and mark lines carry "value".  Value and span lines expand into
+    one metric per numeric field, named {event}.{field}
+    (skiptree.add.p99_us, ebr.limbo_bytes.max, ...).  Other lines (schema,
+    samples, heatmaps) are ignored.  Later lines win on a name collision.
     """
     by_name = {}
     total = 0
@@ -134,28 +128,17 @@ def load_metrics(path):
             rec = json.loads(line)
             total += 1
             kind = rec.get("type")
-            if kind in ("counter", "histogram", "gauge"):
-                by_name[rec["name"]] = rec
-            elif kind == "sketch":
-                stem = rec.get("name", "sketch")
+            if kind in ("count", "mark"):
+                by_name[rec["name"]] = rec.get("value", 0)
+            elif kind in ("value", "span"):
                 for field, v in rec.items():
                     if field in ("type", "name"):
                         continue
                     if isinstance(v, (int, float)) and v == v:
-                        by_name[f"{stem}.{field}"] = {
-                            "type": "gauge",
-                            "name": f"{stem}.{field}",
-                            "value": v,
-                        }
+                        by_name[f"{rec['name']}.{field}"] = v
     if total == 0:
         raise SystemExit(f"bench_gate: metrics sidecar {path} is empty")
     return by_name, total
-
-
-def metric_value(rec):
-    if rec["type"] == "histogram":
-        return rec.get("count", 0)
-    return rec.get("value", 0)
 
 
 def check_metrics(path, require, require_under, out=sys.stdout):
@@ -165,32 +148,30 @@ def check_metrics(path, require, require_under, out=sys.stdout):
           f"{len(by_name)} named metrics in {path}", file=out)
     failures = 0
     for name in require:
-        rec = by_name.get(name)
-        if rec is None:
+        value = by_name.get(name)
+        if value is None:
             failures += 1
             print(f"  MISSING  {name}: not in sidecar", file=out)
-        elif metric_value(rec) <= 0:
+        elif value <= 0:
             failures += 1
             print(f"  ZERO     {name}: present but never recorded", file=out)
         else:
-            print(f"  ok       {name} = {metric_value(rec)}", file=out)
+            print(f"  ok       {name} = {value}", file=out)
     for spec in require_under:
         name, sep, limit = spec.rpartition("=")
         if not sep:
             raise SystemExit(
                 f"bench_gate: --require-under wants NAME=LIMIT, got {spec!r}")
         limit = float(limit)
-        rec = by_name.get(name)
-        if rec is None:
+        value = by_name.get(name)
+        if value is None:
             failures += 1
             print(f"  MISSING  {name}: not in sidecar", file=out)
-        elif metric_value(rec) > limit:
+        elif value > limit:
             failures += 1
-            print(f"  EXCEEDED {name} = {metric_value(rec)} "
-                  f"> limit {limit:g}", file=out)
+            print(f"  EXCEEDED {name} = {value} > limit {limit:g}", file=out)
         else:
-            print(f"  ok       {name} = {metric_value(rec)} "
-                  f"<= {limit:g}", file=out)
+            print(f"  ok       {name} = {value} <= {limit:g}", file=out)
     print(f"bench_gate: {failures} metric requirement(s) failed", file=out)
     return failures
 
@@ -213,21 +194,29 @@ def self_test(base, threshold, noise_sigma):
         return 1
     sink = io.StringIO()
 
-    # Sketch expansion: telemetry summary lines must gate like gauges.
+    # Sketch expansion: span and value lines must gate like counters.
     with tempfile.NamedTemporaryFile("w", suffix=".jsonl",
                                      delete=False) as f:
-        f.write(json.dumps({"type": "sketch", "name": "op.add",
+        f.write(json.dumps({"type": "span", "name": "skiptree.add",
                             "count": 42, "p50_us": 1.5, "p99_us": 12.0,
                             "max_us": 30.0, "mean_us": 2.0}) + "\n")
-        f.write(json.dumps({"type": "counter", "name": "tree.cas_failures",
+        f.write(json.dumps({"type": "value", "name": "ebr.limbo_bytes",
+                            "count": 9, "max": 4096}) + "\n")
+        f.write(json.dumps({"type": "count",
+                            "name": "skiptree.cas_failures",
                             "value": 7}) + "\n")
+        f.write(json.dumps({"type": "mark", "name": "ebr.advance",
+                            "value": 0}) + "\n")
         sketch_path = f.name
     try:
         passed = check_metrics(sketch_path,
-                               ["op.add.count", "tree.cas_failures"],
-                               ["op.add.p99_us=100"], out=sink) == 0
+                               ["skiptree.add.count", "skiptree.cas_failures",
+                                "ebr.limbo_bytes.max"],
+                               ["skiptree.add.p99_us=100",
+                                "ebr.limbo_bytes.max=8192"], out=sink) == 0
         tripped = check_metrics(sketch_path, [],
-                                ["op.add.p99_us=1"], out=sink) == 1
+                                ["skiptree.add.p99_us=1"], out=sink) == 1
+        zero = check_metrics(sketch_path, ["ebr.advance"], [], out=sink) == 1
     finally:
         os.unlink(sketch_path)
     if not passed:
@@ -236,6 +225,9 @@ def self_test(base, threshold, noise_sigma):
     if not tripped:
         print("bench_gate self-test: FAIL "
               "(p99 over --require-under limit slipped through)")
+        return 1
+    if not zero:
+        print("bench_gate self-test: FAIL (zero mark passed --require)")
         return 1
 
     print("bench_gate self-test: OK "
@@ -264,15 +256,15 @@ def main():
                     help="verify the gate trips on a synthetic 20%% "
                          "regression and passes a clean self-compare")
     ap.add_argument("--check-metrics", metavar="PATH",
-                    help="validate a --metrics-json sidecar instead of "
+                    help="validate a --telemetry-json sidecar instead of "
                          "(or alongside) a throughput diff")
     ap.add_argument("--require", nargs="+", default=[], metavar="NAME",
                     help="sidecar metrics that must exist with a nonzero "
-                         "value (histograms: nonzero sample count)")
+                         "value (e.g. skiptree.add.count)")
     ap.add_argument("--require-under", nargs="+", default=[],
                     metavar="NAME=LIMIT",
                     help="sidecar metrics that must exist and stay at or "
-                         "below LIMIT (e.g. ebr.limbo_bytes_hwm=1048576)")
+                         "below LIMIT (e.g. ebr.limbo_bytes.max=1048576)")
     args = ap.parse_args()
 
     if args.check_metrics:

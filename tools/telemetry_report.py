@@ -2,17 +2,22 @@
 """Render a telemetry JSON-lines sidecar as human-readable tables.
 
 Input is the file written by a bench run's ``--telemetry-json`` flag
-(bench/bench_common.hpp, telemetry_reporter): a stream of one-object-per-line
-JSON records distinguished by their "type" field:
+(bench/bench_common.hpp, telemetry_reporter; common/telemetry_export.hpp):
+a stream of one-object-per-line JSON records distinguished by their "type"
+field:
 
-  telemetry_schema   ticks_per_us, sample_stride, series name list
-  telemetry_sample   one aggregator snapshot: seq, t_ms, {series: value}
-  sketch             latency-sketch summary: count, p50/p90/p99/p999/max/mean
-  heatmap            CAS-contention heatmap: total, per-level bucket rows
+  schema    ticks_per_us, sample_stride, series name list
+  sample    one sampler snapshot: seq, t_ms, {series: value}
+  count     a counter: name, value
+  mark      a counter whose occurrences are also ring instants: name, value
+  value     a sketch of recorded values: count, sum, max, mean, p50..p999
+  span      a sketch of span durations: the same fields with an _us suffix
+  heatmap   CAS-contention heatmap: total, per-level bucket rows
 
-The report has three parts:
+The report has four parts:
 
-  * a latency table, one row per non-empty sketch;
+  * a counter table, one row per count or mark;
+  * a sketch table, one row per value or span;
   * one attribution table per heatmap record -- per-level failure totals,
     each level's share of all failures, and how concentrated the level's
     failures are in its hottest address bucket (high concentration = a
@@ -27,7 +32,7 @@ on mismatch, same as the harness itself.
 
 Usage:
   tools/telemetry_report.py telemetry.jsonl
-  tools/telemetry_report.py telemetry.jsonl --series op.contains.p99_us
+  tools/telemetry_report.py telemetry.jsonl --series skiptree.contains.p99_us
   tools/telemetry_report.py --self-test
 
 Stdlib only; no third-party dependencies.
@@ -55,6 +60,7 @@ class Sidecar:
     def __init__(self) -> None:
         self.schema: Dict = {}
         self.samples: List[Dict] = []
+        self.counters: List[Dict] = []
         self.sketches: List[Dict] = []
         self.heatmaps: List[Dict] = []
         self.skipped_lines = 0
@@ -72,11 +78,13 @@ def parse_sidecar(lines: Sequence[str]) -> Sidecar:
             out.skipped_lines += 1
             continue
         kind = rec.get("type")
-        if kind == "telemetry_schema":
+        if kind == "schema":
             out.schema = rec
-        elif kind == "telemetry_sample":
+        elif kind == "sample":
             out.samples.append(rec)
-        elif kind == "sketch":
+        elif kind in ("count", "mark"):
+            out.counters.append(rec)
+        elif kind in ("value", "span"):
             out.sketches.append(rec)
         elif kind == "heatmap":
             out.heatmaps.append(rec)
@@ -111,12 +119,21 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def sketch_field(rec: Dict, stem: str) -> Optional[float]:
-    """Sketch fields are p50_us for tick-unit sketches, p50 for raw ones."""
+    """Span fields carry an _us suffix (p50_us); value fields do not."""
     if stem + "_us" in rec:
         return float(rec[stem + "_us"])
     if stem in rec:
         return float(rec[stem])
     return None
+
+
+def report_counters(counters: Sequence[Dict]) -> str:
+    rows = [[str(rec.get("name", "?")), str(rec.get("type", "?")),
+             fmt_num(float(rec.get("value", 0)))] for rec in counters]
+    if not rows:
+        return "counters: none recorded\n"
+    return ("counters:\n" + render_table(["event", "kind", "total"], rows)
+            + "\n")
 
 
 def report_sketches(sketches: Sequence[Dict]) -> str:
@@ -125,18 +142,18 @@ def report_sketches(sketches: Sequence[Dict]) -> str:
         count = int(rec.get("count", 0))
         if count == 0:
             continue
-        unit = "us" if "p50_us" in rec else "raw"
+        unit = "us" if rec.get("type") == "span" else "raw"
         cells = [str(rec.get("name", "?")), unit, str(count)]
         for stem in ("p50", "p90", "p99", "p999", "max", "mean"):
             v = sketch_field(rec, stem)
             cells.append(fmt_num(v) if v is not None else "-")
         rows.append(cells)
     if not rows:
-        return "latency sketches: all empty (no sampled operations)\n"
-    headers = ["sketch", "unit", "count", "p50", "p90", "p99", "p999",
+        return "sketches: all empty (no sampled operations)\n"
+    headers = ["event", "unit", "count", "p50", "p90", "p99", "p999",
                "max", "mean"]
-    return ("latency sketches (unit us = microseconds, raw = native "
-            "units):\n" + render_table(headers, rows) + "\n")
+    return ("sketches (unit us = span microseconds, raw = recorded "
+            "values):\n" + render_table(headers, rows) + "\n")
 
 
 def report_heatmap(rec: Dict) -> Tuple[str, bool]:
@@ -255,6 +272,7 @@ def report(sidecar: Sidecar, series: Sequence[str]) -> Tuple[str, bool]:
             f"schema: {len(sidecar.schema.get('series', []))} series, "
             f"sample_stride={sidecar.schema.get('sample_stride')}, "
             f"ticks_per_us={fmt_num(float(sidecar.schema.get('ticks_per_us', 0)))}\n")
+    parts.append(report_counters(sidecar.counters))
     parts.append(report_sketches(sidecar.sketches))
     for rec in sidecar.heatmaps:
         text, rec_ok = report_heatmap(rec)
@@ -272,24 +290,25 @@ def report(sidecar: Sidecar, series: Sequence[str]) -> Tuple[str, bool]:
 
 def self_test() -> int:
     synthetic = [
-        json.dumps({"type": "telemetry_schema", "ticks_per_us": 1000.0,
+        json.dumps({"type": "schema", "ticks_per_us": 1000.0,
                     "sample_stride": 64,
-                    "series": ["op.add.p99_us", "reclaim.limbo_bytes"]}),
-        json.dumps({"type": "telemetry_sample", "seq": 0, "t_ms": 0.0,
-                    "values": {"op.add.p99_us": 12.5,
+                    "series": ["skiptree.add.p99_us", "reclaim.limbo_bytes"]}),
+        json.dumps({"type": "sample", "seq": 0, "t_ms": 0.0,
+                    "values": {"skiptree.add.p99_us": 12.5,
                                "reclaim.limbo_bytes": 1024}}),
-        json.dumps({"type": "telemetry_sample", "seq": 1, "t_ms": 50.0,
-                    "values": {"op.add.p99_us": 14.0,
+        json.dumps({"type": "sample", "seq": 1, "t_ms": 50.0,
+                    "values": {"skiptree.add.p99_us": 14.0,
                                "reclaim.limbo_bytes": 4096}}),
-        json.dumps({"type": "sketch", "name": "op.add", "count": 128,
+        json.dumps({"type": "span", "name": "skiptree.add", "count": 128,
+                    "sum_us": 281.6, "max_us": 55.0, "mean_us": 2.2,
                     "p50_us": 1.5, "p90_us": 3.0, "p99_us": 12.0,
-                    "p999_us": 40.0, "max_us": 55.0, "mean_us": 2.2}),
-        json.dumps({"type": "sketch", "name": "storage.wal.batch",
-                    "count": 16, "p50": 3, "p90": 9, "p99": 15,
-                    "p999": 15, "max": 15, "mean": 4.5}),
-        json.dumps({"type": "sketch", "name": "op.remove", "count": 0,
-                    "p50_us": 0, "p90_us": 0, "p99_us": 0, "p999_us": 0,
-                    "max_us": 0, "mean_us": 0}),
+                    "p999_us": 40.0}),
+        json.dumps({"type": "value", "name": "storage.wal.batch",
+                    "count": 16, "sum": 72, "max": 15, "mean": 4.5,
+                    "p50": 3, "p90": 9, "p99": 15, "p999": 15}),
+        json.dumps({"type": "count", "name": "skiptree.cas_failures",
+                    "value": 10}),
+        json.dumps({"type": "mark", "name": "skiptree.split", "value": 7}),
         json.dumps({"type": "heatmap", "name": "skiptree.cas",
                     "range": "small", "threads": 4, "cas_failures": 10,
                     "total": 10,
@@ -302,24 +321,24 @@ def self_test() -> int:
 
     sc = parse_sidecar(synthetic)
     assert len(sc.samples) == 2, sc.samples
-    assert len(sc.sketches) == 3
+    assert len(sc.sketches) == 2
+    assert len(sc.counters) == 2
     assert len(sc.heatmaps) == 1
     assert sc.skipped_lines == 1
     assert sc.schema["sample_stride"] == 64
 
     text, ok = report(sc, series=[])
     assert ok, "synthetic heatmap should pass attribution check"
-    assert "op.add" in text
+    assert "skiptree.add" in text
     assert "storage.wal.batch" in text
-    assert "op.remove" not in text.split("heatmap")[0].split("sketch")[-1] \
-        or True  # empty sketches are dropped from the table
+    assert "skiptree.cas_failures" in text and "mark" in text
     assert "skiptree.cas" in text
     assert "L0" in text and "L2" in text
     assert "70.0%" in text          # level 0 share of 10 failures
     assert "reclaim.limbo_bytes" in text
 
     # Mismatched counter must flip the exit status.
-    bad = dict(json.loads(synthetic[6]))
+    bad = dict(json.loads(synthetic[7]))
     bad["cas_failures"] = 11
     sc_bad = parse_sidecar([json.dumps(bad)])
     text_bad, ok_bad = report(sc_bad, series=[])
@@ -334,9 +353,9 @@ def self_test() -> int:
     try:
         with open(path) as fh:
             sc2 = parse_sidecar(fh.readlines())
-        text2, ok2 = report(sc2, series=["op.add.p99_us"])
+        text2, ok2 = report(sc2, series=["skiptree.add.p99_us"])
         assert ok2
-        assert "op.add.p99_us" in text2
+        assert "skiptree.add.p99_us" in text2
     finally:
         os.unlink(path)
 
